@@ -51,6 +51,8 @@ class LatticeVector(NamedTuple):
         return LatticeVector(-self.x, -self.y)
 
 
+ORIGIN = LatticeVector(0, 0)
+
 def ring_vectors(radius: int) -> Iterator[LatticeVector]:
     """Vectors of sup norm exactly `radius`, in (x, y) lexicographic order."""
     if radius == 0:
@@ -148,6 +150,15 @@ class PeriodicConfiguration:
             if not 0 <= s < self.alphabet_size:
                 raise ValueError(f"cell symbol {s} outside 0..{self.alphabet_size - 1}")
 
+    @functools.cached_property
+    def planes(self) -> tuple[int, ...]:
+        """Packed form, built on first use: ceil(log2 k) bit-planes; bit i
+        of plane j is bit j of cell i."""
+        return tuple(
+            sum(1 << i for i, s in enumerate(self.cells) if s >> j & 1)
+            for j in range((self.alphabet_size - 1).bit_length())
+        )
+
     def at(self, x: int, y: int) -> int:
         w = self.width
         return self.cells[(x % w) * w + (y % w)]
@@ -193,12 +204,67 @@ def parse_pattern(text: str) -> PeriodicConfiguration:
     return PeriodicConfiguration(w, k, cells)
 
 
-def _check_shift_pair(x: PeriodicConfiguration, y: PeriodicConfiguration) -> None:
+def diff_mask(x: PeriodicConfiguration, y: PeriodicConfiguration) -> int:
+    """Cells where x and y differ, as row-major bits: the OR of the XORs of
+    their bit-planes."""
     if x.width != y.width or x.alphabet_size != y.alphabet_size:
         raise MismatchedSystems(
             f"points live in different shifts: (w={x.width}, k={x.alphabet_size}) "
             f"vs (w={y.width}, k={y.alphabet_size})"
         )
+    xp, yp = x.planes, y.planes
+    out = xp[0] ^ yp[0]
+    for j in range(1, len(xp)):
+        out |= xp[j] ^ yp[j]
+    return out
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def window_mask(width: int, v: LatticeVector, radius: int) -> int:
+    """Cells whose coset, shifted by -v, has sup norm <= radius: a pair is at
+    distance >= alpha**-radius after shifting by v iff its diff_mask meets it."""
+    vx, vy = v
+    rows = [a for a in range(width) if min((a - vx) % width, (vx - a) % width) <= radius]
+    cols = [b for b in range(width) if min((b - vy) % width, (vy - b) % width) <= radius]
+    return sum(1 << (a * width + b) for a in rows for b in cols)
+
+
+def shifted_exponent(diff: int, width: int, v: LatticeVector) -> int | None:
+    """Distance exponent after shifting by v of a pair with this diff_mask
+    (None for identical points), by growing the window around v."""
+    r = 0
+    while diff and not diff & window_mask(width, v, r):
+        r += 1
+    return r if diff else None
+
+
+@functools.lru_cache(maxsize=16)
+def scan_ranks(width: int, radius: int):
+    """(vectors, runs): the cells ball_vectors(radius) reaches, in order of
+    first visit (vectors wrap modulo w, and all cells are reached by norm
+    w // 2).  `vectors[r]` first reaches the cell of rank r; each run holds
+    8 consecutive ranks as (mask, {nonempty subset: its least rank})."""
+    reached: dict[int, LatticeVector] = {}
+    for v in ball_vectors(min(radius, width // 2)):
+        reached.setdefault((v.x % width) * width + v.y % width, v)
+    cells = list(reached)
+    runs = []
+    for start in range(0, len(cells), 8):
+        run = cells[start : start + 8]
+        first = {0: None}  # subset of the run -> least rank in it
+        for b in reversed(range(len(run))):  # cell b outranks every cell added before it
+            first.update({key | 1 << run[b]: start + b for key in list(first)})
+        runs.append((max(first), first))  # the whole run is its largest subset
+    return tuple(reached.values()), tuple(runs)
+
+
+def lowest_rank(diff: int, runs) -> int | None:
+    """Scan rank of the first cell of `diff`: one AND and one lookup in the
+    first run it meets.  None when no ranked cell differs."""
+    for mask, first in runs:
+        if hit := diff & mask:
+            return first[hit]
+    return None
 
 
 def min_diff_vector(
@@ -208,20 +274,14 @@ def min_diff_vector(
 
     Returns (None, zero) for identical points, else (v0, alpha**-|v0|)
     where v0 is the differing site of least sup norm, ties broken by the
-    module-wide scan order.  Scanning |v| <= w suffices: the differing set
-    is w-periodic and nonempty, so it meets the radius-w window.
+    module-wide scan order.
     """
-    _check_shift_pair(x, y)
-    if x.cells == y.cells:
+    diff = diff_mask(x, y)
+    vectors, runs = scan_ranks(x.width, x.width // 2)
+    rank = lowest_rank(diff, runs)
+    if rank is None:
         return None, ShiftDistance.zero()
-    w = x.width
-    cx, cy = x.cells, y.cells
-    for r in range(w + 1):
-        for v in ring_vectors(r):
-            idx = (v.x % w) * w + (v.y % w)
-            if cx[idx] != cy[idx]:
-                return v, ShiftDistance(r)
-    raise AssertionError("distinct periodic points must differ within one period")
+    return vectors[rank], ShiftDistance(vectors[rank].norm)
 
 
 def shift_min_diff(x: PeriodicConfiguration, y: PeriodicConfiguration) -> ShiftDistance:
@@ -286,18 +346,9 @@ class ShiftSystem:
     def distance_at_least(
         self, x: PeriodicConfiguration, y: PeriodicConfiguration, exponent: int
     ) -> bool:
-        """Exact test distance(x, y) >= alpha**-exponent, via an early-exit
-        window scan (equivalent to comparing shift_min_diff, but cheaper)."""
-        _check_shift_pair(x, y)
-        if x.cells == y.cells:
-            return False
-        w = x.width
-        cx, cy = x.cells, y.cells
-        for v in ball_vectors(min(exponent, w)):
-            idx = (v.x % w) * w + (v.y % w)
-            if cx[idx] != cy[idx]:
-                return True
-        return False
+        """Exact test distance(x, y) >= alpha**-exponent: one AND of the
+        pair's diff mask with the radius-`exponent` window."""
+        return bool(diff_mask(x, y) & window_mask(x.width, ORIGIN, exponent))
 
 
 def enumerate_periodic_points(

@@ -109,20 +109,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> dict[str, str]:
+def _emit(text: str, out_path: str | None, checksum: str | None = None) -> dict[str, str]:
     """Write the primary output; returns {path: checksum} for the manifest."""
     data = text.encode("utf-8")
     if out_path is None:
         sys.stdout.write(text)
-        return {"<stdout>": f"{fnv1a64(data):016x}"}
-    with open(out_path, "wb") as fh:
-        fh.write(data)
-    return {out_path: f"{fnv1a64(data):016x}"}
+    else:
+        with open(out_path, "wb") as fh:
+            fh.write(data)
+    return {out_path or "<stdout>": checksum or f"{fnv1a64(data):016x}"}
 
 
-def _file_checksum(path: str) -> str:
-    with open(path, "rb") as fh:
-        return f"{fnv1a64(fh.read()):016x}"
+def _decg_checksum(graph) -> str:
+    """Whole-file checksum of a graph's DECG text: the body hash that
+    decg_dumps or read_decg holds, continued over the end line."""
+    body = graph.checksum_hex()
+    end_line = f"end {body}\n".encode("ascii")
+    return f"{fnv1a64(end_line, int(body, 16)):016x}"
 
 
 def _write_manifest(args, params: dict, inputs: dict, outputs: dict, started: float) -> None:
@@ -174,7 +177,7 @@ def cmd_color(args) -> int:
         sampled = f"subsampled seed={args.seed}"
     vertices = greedy_separated(system, stream, system.epsilon(args.n), universe)
     graph = color_graph(system, vertices, args.n, sampled=sampled, threads=args.threads)
-    outputs = _emit(decg_dumps(graph), args.out)
+    outputs = _emit(decg_dumps(graph), args.out, _decg_checksum(graph))
     params = {
         "system": "shift",
         "k": args.k,
@@ -205,7 +208,7 @@ def cmd_cliques(args) -> int:
     }
     outputs = _emit(_json_text(payload), args.out)
     params = {"path": args.path, "threads": args.threads}
-    _write_manifest(args, params, {args.path: _file_checksum(args.path)}, outputs, started)
+    _write_manifest(args, params, {args.path: _decg_checksum(graph)}, outputs, started)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .action import LatticeVector, ShiftSystem, ring_vectors, shift_min_diff
+from .action import LatticeVector, diff_mask, shift_min_diff, shifted_exponent
 from .colorer import ColoredGraph
 from .errors import CapExceeded, UnknownColor
 from .sepset import separation_check
@@ -235,8 +235,9 @@ def mono_clique_report(
 def revalidate_edges(graph: ColoredGraph, threads: int = 1):
     """Independently recheck every edge's witness.
 
-    For each edge {x, y} colored v, rescans the pair around v to find the
-    exact achieved exponent; the edge is valid when that exponent is at
+    For each edge {x, y} colored v, grows coset-norm windows around v until
+    one meets the pair's diff mask, which gives the exact achieved
+    exponent; the edge is valid when that exponent is at
     most the threshold and equals the stored value.  Returns None when all
     edges pass, else (i, j, reason) for the first bad edge.
     """
@@ -254,30 +255,22 @@ def revalidate_edges(graph: ColoredGraph, threads: int = 1):
 
 
 def _revalidate_range(graph: ColoredGraph, row_start: int, row_end: int):
-    system: ShiftSystem = graph.system
-    t = system.threshold_exponent
+    # Windows, never the colorer's scan ranks: the check must not repeat
+    # the logic it checks.
+    t = graph.system.threshold_exponent
     vectors = graph.colors.vectors
     verts = graph.vertices
     q = graph.vertex_count
     width = verts[0].width
     for i in range(row_start, row_end):
-        ci = verts[i].cells
+        x = verts[i]
         base = i * (2 * q - i - 1) // 2 - i - 1
         for j in range(i + 1, q):
             e = base + j
-            c = graph.edge_colors[e]
             stored = graph.edge_quality[e]
-            vx, vy = vectors[c]
-            cj = verts[j].cells
-            achieved = None
-            for r in range(width + 1):
-                for u in ring_vectors(r):
-                    idx = ((u.x + vx) % width) * width + ((u.y + vy) % width)
-                    if ci[idx] != cj[idx]:
-                        achieved = r
-                        break
-                if achieved is not None:
-                    break
+            achieved = shifted_exponent(
+                diff_mask(x, verts[j]), width, vectors[graph.edge_colors[e]]
+            )
             if achieved is None:
                 return (i, j, "endpoints are identical points")
             if achieved > t:

@@ -14,28 +14,28 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .action import (
     LatticeVector,
     PeriodicConfiguration,
-    ShiftDistance,
     ShiftSystem,
-    ball_vectors,
     encode_pattern,
+    lowest_rank,
     parse_pattern,
+    scan_ranks,
 )
 from .errors import BadFormat, ChecksumMismatch, MismatchedSystems, NoWitness, UnknownColor
-from .sepset import SeparatedSet, separation_check
+from .sepset import SeparatedSet
 
 _MASK64 = (1 << 64) - 1
 
 DECG_VERSION = 1
 
 
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a, 64-bit."""
-    h = 0xCBF29CE484222325
+def fnv1a64(data: bytes, state: int = 0xCBF29CE484222325) -> int:
+    """FNV-1a, 64-bit; given a prefix's hash as `state`, continues that hash over `data`."""
+    h = state
     for b in data:
         h ^= b
         h = (h * 0x100000001B3) & _MASK64
@@ -142,45 +142,25 @@ class ColoredGraph:
         return self._checksum
 
 
-@functools.lru_cache(maxsize=None)
-def _scan_table(width: int, n: int) -> tuple[tuple[int, int], ...]:
-    """(flat cell index, color index) for each ball vector in scan order.
-
-    The first entry whose cell differs between two patterns is exactly the
-    witness find_witness would return, so the per-edge loop is a table walk.
-    """
-    colors = build_color_set(n)
-    out = []
-    for v in ball_vectors(n):
-        idx = (v.x % width) * width + (v.y % width)
-        out.append((idx, colors.index_of(v)))
-    return tuple(out)
-
-
-def _color_rows(
-    vertices: Sequence[PeriodicConfiguration],
-    table,
-    row_range,
-) -> tuple[list[int], list[int]]:
+def _color_rows(vertices, runs, color_of_rank, row_range) -> list[int]:
     colors: list[int] = []
-    quality: list[int] = []
     q = len(vertices)
+    columns = list(zip(*(p.planes for p in vertices)))  # plane j of every vertex
     for i in row_range:
-        ci = vertices[i].cells
-        for j in range(i + 1, q):
-            cj = vertices[j].cells
-            for idx, cidx in table:
-                if ci[idx] != cj[idx]:
-                    colors.append(cidx)
-                    quality.append(0)
-                    break
-            else:
-                raise NoWitness(
-                    f"vertices {i} and {j} agree on the whole color window; "
-                    "the input set is not separated at alpha**-n",
-                    pair=(i, j),
-                )
-    return colors, quality
+        diffs = [0] * (q - i - 1)  # diff masks of the pairs (i, j > i)
+        for column in columns:
+            own = column[i]
+            diffs = [d | own ^ other for d, other in zip(diffs, column[i + 1 :])]
+        row = [lowest_rank(d, runs) for d in diffs]
+        if None in row:
+            j = i + 1 + row.index(None)
+            raise NoWitness(
+                f"vertices {i} and {j} agree on the whole color window; "
+                "the input set is not separated at alpha**-n",
+                pair=(i, j),
+            )
+        colors.extend([color_of_rank[r] for r in row])
+    return colors
 
 
 def color_graph(
@@ -194,21 +174,13 @@ def color_graph(
 
     Each edge's color is the witness vector from find_witness: the
     differing site of least norm in scan order, which always achieves
-    exponent 0 on a properly separated input.  Separation is re-checked
-    unless `vertices` is a SeparatedSet already certified at alpha**-n or
-    finer.  Output is deterministic and independent of `threads`.
+    exponent 0.  A pair with no differing site in the window, which means
+    the input is not alpha**-n-separated, raises NoWitness.  Output is
+    deterministic and independent of `threads`.
     """
     if not isinstance(system, ShiftSystem):
         raise TypeError("color_graph builds shift graphs; torus graphs are not supported")
-    if isinstance(vertices, SeparatedSet):
-        points = tuple(vertices.points)
-        certified = (
-            isinstance(vertices.epsilon, ShiftDistance)
-            and vertices.epsilon >= system.epsilon(n)
-        )
-    else:
-        points = tuple(vertices)
-        certified = False
+    points = tuple(vertices.points if isinstance(vertices, SeparatedSet) else vertices)
     if not points:
         raise ValueError("graph needs at least one vertex")
     for p in points:
@@ -216,31 +188,25 @@ def color_graph(
     widths = {p.width for p in points}
     if len(widths) != 1:
         raise MismatchedSystems(f"vertices mix periods {sorted(widths)}")
-    if not certified:
-        ok, pair = separation_check(system, points, system.epsilon(n))
-        if not ok:
-            raise NoWitness(
-                f"vertex pair {pair} is closer than alpha**-{n}", pair=pair
-            )
     (width,) = widths
-    table = _scan_table(width, n)
+    vectors, runs = scan_ranks(width, n)
+    color_of_rank = [build_color_set(n).index_of(v) for v in vectors]
     q = len(points)
     if threads <= 1 or q < 4:
-        colors, quality = _color_rows(points, table, range(q))
+        colors = _color_rows(points, runs, color_of_rank, range(q))
     else:
         chunks = _row_chunks(q, threads * 4)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(
-                pool.map(lambda rows: _color_rows(points, table, rows), chunks)
+                pool.map(lambda rows: _color_rows(points, runs, color_of_rank, rows), chunks)
             )
-        colors = [c for part in parts for c in part[0]]
-        quality = [e for part in parts for e in part[1]]
+        colors = [c for part in parts for c in part]
     return ColoredGraph(
         system=system,
         n=n,
         vertices=points,
         edge_colors=tuple(colors),
-        edge_quality=tuple(quality),
+        edge_quality=(0,) * len(colors),
         sampled=sampled,
     )
 

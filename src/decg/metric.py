@@ -12,17 +12,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .action import (
+    ORIGIN,
     LatticeVector,
     PeriodicConfiguration,
     ShiftDistance,
     ShiftSystem,
     TorusSystem,
     ball_vectors,
+    diff_mask,
     min_diff_vector,
     shift_min_diff,
+    shifted_exponent,
+    window_mask,
 )
 from .errors import CapExceeded, NoWitness
 
@@ -48,26 +52,6 @@ class RecoveryReport:
         return not self.failures
 
 
-def _diff_cells(x: PeriodicConfiguration, y: PeriodicConfiguration) -> list[tuple[int, int]]:
-    w = x.width
-    cx, cy = x.cells, y.cells
-    return [(a, b) for a in range(w) for b in range(w) if cx[a * w + b] != cy[a * w + b]]
-
-
-def _coset_norm(a: int, b: int, w: int) -> int:
-    """Least sup norm over the coset (a, b) + w*Z^2."""
-    am = a % w
-    bm = b % w
-    return max(min(am, w - am), min(bm, w - bm))
-
-
-def _shifted_exponent(diff: Sequence[tuple[int, int]], v: LatticeVector, w: int) -> int:
-    """Exponent of the distance after shifting both points by v: the least
-    sup norm of a differing site of the translated pair."""
-    vx, vy = v
-    return min(_coset_norm(a - vx, b - vy, w) for a, b in diff)
-
-
 def find_witness(system, x, y, n: int) -> WitnessResult:
     """Search |v| <= n for a vector separating x and y to 1/(4*alpha).
 
@@ -78,6 +62,8 @@ def find_witness(system, x, y, n: int) -> WitnessResult:
     the distance precondition d(x, y) >= alpha**-n fails (and is always
     possible on the torus).
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if isinstance(system, ShiftSystem):
         return _find_witness_shift(system, x, y, n)
     if isinstance(system, TorusSystem):
@@ -98,15 +84,11 @@ def _find_witness_shift(system: ShiftSystem, x, y, n: int) -> WitnessResult:
         return WitnessResult(v0, ShiftDistance(0))
     # Precondition failed; exhaust the ball anyway in case some shift
     # still clears the threshold.
-    w = x.width
-    diff = _diff_cells(x, y)
-    best_v: LatticeVector | None = None
-    best_e: int | None = None
-    for v in ball_vectors(n):
-        e = _shifted_exponent(diff, v, w)
-        if best_e is None or e < best_e:
-            best_v, best_e = v, e
-    assert best_v is not None and best_e is not None
+    diff = diff_mask(x, y)
+    best_v, best_e = min(
+        ((v, shifted_exponent(diff, x.width, v)) for v in ball_vectors(n)),
+        key=lambda ve: ve[1],
+    )
     if best_e <= system.threshold_exponent:
         return WitnessResult(best_v, ShiftDistance(best_e))
     raise NoWitness(
@@ -166,21 +148,24 @@ def verify_recovery(system, pairs: Iterable, n: int) -> RecoveryReport:
 def _verify_recovery_shift(system: ShiftSystem, pairs, n: int) -> RecoveryReport:
     report = RecoveryReport()
     t = system.threshold_exponent
+    width = None
     for x, y in pairs:
-        if not system.distance_at_least(x, y, n):
+        diff = diff_mask(x, y)
+        if x.width != width:
+            width = x.width
+            hypothesis = window_mask(width, ORIGIN, n)
+            # v acts through its residue mod w; ball(w // 2) holds every residue
+            ball = ball_vectors(min(n, width // 2))
+            recovered = [window_mask(width, v, t) for v in ball]
+        if not diff & hypothesis:
             report.skipped += 1
             continue
         report.pairs_checked += 1
-        w = x.width
-        diff = _diff_cells(x, y)
-        best: int | None = None
-        for v in ball_vectors(n):
-            e = _shifted_exponent(diff, v, w)
-            if best is None or e < best:
-                best = e
-            if best <= t:
+        for mask in recovered:
+            if diff & mask:
                 break
-        if best is None or best > t:
+        else:
+            best = min(shifted_exponent(diff, width, v) for v in ball)
             report.failures.append((x, y, ShiftDistance(best)))
     return report
 

@@ -5,6 +5,7 @@ import json
 import jsonschema
 import pytest
 
+import reference
 from decg import fnv1a64, read_decg
 from decg.cli import main
 from decg.schemas import load_schema
@@ -45,6 +46,22 @@ def test_color_and_cliques_happy_path(tmp_path, capsys):
     assert payload["clique_report"]["overall_max"] == 2
     assert payload["bound_certificate"]["statement"] == "R_9(3) > 512"
     assert payload["bound_certificate"]["verified"] is True
+
+
+def test_manifest_checksums_are_whole_file_fnv(tmp_path):
+    # The CLI continues the body hash over the end line instead of rehashing
+    # the file; an independent hash of the bytes on disk must agree.
+    out = tmp_path / "g.decg"
+    rep = tmp_path / "r.json"
+    assert main(["color", "--k", "2", "--n", "1", "--max-vertices", "40",
+                 "--out", str(out)]) == 0
+    assert main(["cliques", str(out), "--out", str(rep)]) == 0
+    expected = f"{reference.fnv1a64(out.read_bytes()):016x}"
+    color = json.loads((tmp_path / "g.decg.manifest.json").read_text())
+    cliques = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert color["outputs"] == {str(out): expected}
+    assert cliques["inputs"] == {str(out): expected}
+    assert cliques["outputs"] == {str(rep): f"{reference.fnv1a64(rep.read_bytes()):016x}"}
 
 
 def test_cliques_single_vertex_graph(tmp_path):

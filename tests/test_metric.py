@@ -62,6 +62,14 @@ def test_find_witness_out_of_reach_coset():
     assert res.achieved == ShiftDistance(0)
 
 
+def test_find_witness_rejects_negative_radius():
+    x = PeriodicConfiguration.constant(2, 3)
+    y = x.with_cell(1, 0, 1)
+    for system, a, b in ((SYSTEM, x, y), (TORUS, (0.1, 0.3), (0.6, 0.8))):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            find_witness(system, a, b, -1)
+
+
 def test_find_witness_succeeds_iff_exponent_within_radius():
     rng = random.Random(31)
     for _ in range(60):
