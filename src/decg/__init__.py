@@ -13,7 +13,6 @@ from .action import (
     PeriodicConfiguration,
     ShiftDistance,
     ShiftSystem,
-    TorusSystem,
     ball_vectors,
     encode_pattern,
     enumerate_periodic_points,
@@ -22,7 +21,6 @@ from .action import (
     ring_vectors,
     sample_periodic_points,
     shift_min_diff,
-    torus_distance,
 )
 from .cliques import (
     BoundCertificate,

@@ -1,14 +1,10 @@
-"""Concrete Z^2-actions on compact spaces, with exact shift arithmetic.
+"""The Z^2-action of the two-dimensional full shift, with exact arithmetic.
 
-Two systems are provided.  The two-dimensional full shift acts on doubly
-periodic configurations: a point is a w x w fundamental domain of symbols
-tiled over Z^2, so every metric quantity is a finite, exact computation.
-Shift distances are powers alpha**-m and are stored as integer exponents
-(log domain), never floats, so all comparisons downstream are exact.
-
-The torus system is an empirical stand-in: two commuting hyperbolic integer
-matrices acting on the 2-torus, measured by a truncated weighted metric in
-floating point.  No exactness is claimed for it.
+The shift acts on doubly periodic configurations: a point is a w x w
+fundamental domain of symbols tiled over Z^2, so every metric quantity is
+a finite, exact computation.  Shift distances are powers alpha**-m and are
+stored as integer exponents (log domain), never floats, so all comparisons
+downstream are exact.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import CapExceeded, MismatchedSystems, PrecisionLoss
+from .errors import CapExceeded, MismatchedSystems
 
 DEFAULT_ENUMERATION_CAP = 1 << 25
 
@@ -426,152 +422,3 @@ def sample_periodic_points(
         out.append(PeriodicConfiguration(width, alphabet_size, cells))
     return out
 
-
-# --- torus system ---------------------------------------------------------
-
-Matrix = tuple[tuple[int, int], tuple[int, int]]
-TorusPoint = tuple[float, float]
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-def _mat_det(a: Matrix) -> int:
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
-def _mat_inv_unimodular(a: Matrix) -> Matrix:
-    det = _mat_det(a)
-    if det == 1:
-        return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
-    if det == -1:
-        return ((-a[1][1], a[0][1]), (a[1][0], -a[0][0]))
-    raise ValueError("matrix is not unimodular")
-
-
-_IDENT: Matrix = ((1, 0), (0, 1))
-
-
-def _mat_pow(a: Matrix, e: int, cap: int) -> Matrix:
-    if e < 0:
-        a, e = _mat_inv_unimodular(a), -e
-    out = _IDENT
-    base = a
-    while e:
-        if e & 1:
-            out = _mat_mul(out, base)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base)
-        m = max(abs(v) for row in out for v in row)
-        if m > cap:
-            raise PrecisionLoss(f"matrix power entry magnitude {m} exceeds cap {cap}")
-    return out
-
-
-def _has_unit_modulus_eigenvalue(a: Matrix) -> bool:
-    # Integer 2x2 with |det| = 1: eigenvalues on the unit circle iff
-    # |trace| <= 2 when det = 1, or trace = 0 when det = -1.
-    tr = a[0][0] + a[1][1]
-    det = _mat_det(a)
-    if det == 1:
-        return abs(tr) <= 2
-    return tr == 0
-
-
-@dataclass(frozen=True)
-class TorusSystem:
-    """Two commuting hyperbolic unimodular matrices acting on the 2-torus.
-
-    The metric is the truncated weighted sup metric
-        D(x, y) = max_{|v| <= N} alpha**-|v| * rho(T^v x, T^v y),
-    a floating-point surrogate; this system is an empirical probe only.
-    Matrix power entries above `magnitude_cap` (default 2**52, the float
-    integer-precision limit) raise PrecisionLoss rather than silently
-    rounding.
-    """
-
-    matrix_a: Matrix
-    matrix_b: Matrix
-    alpha: Fraction = Fraction(2)
-    truncation_radius: int = 8
-    magnitude_cap: int = 1 << 52
-
-    def __post_init__(self):
-        alpha = self.alpha if isinstance(self.alpha, Fraction) else Fraction(self.alpha)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "matrix_a", tuple(map(tuple, self.matrix_a)))
-        object.__setattr__(self, "matrix_b", tuple(map(tuple, self.matrix_b)))
-        if alpha <= 1:
-            raise ValueError("alpha must exceed 1")
-        if self.truncation_radius < 0:
-            raise ValueError("truncation radius must be >= 0")
-        for name, m in (("A", self.matrix_a), ("B", self.matrix_b)):
-            if abs(_mat_det(m)) != 1:
-                raise ValueError(f"matrix {name} must have determinant +-1")
-            if _has_unit_modulus_eigenvalue(m):
-                raise ValueError(f"matrix {name} has an eigenvalue of modulus 1")
-        if _mat_mul(self.matrix_a, self.matrix_b) != _mat_mul(
-            self.matrix_b, self.matrix_a
-        ):
-            raise ValueError("generating matrices must commute")
-
-    @property
-    def threshold(self) -> float:
-        return 1.0 / (4.0 * float(self.alpha))
-
-    def epsilon(self, n: int) -> float:
-        return float(self.alpha) ** (-n)
-
-    def matrix_for(self, v: LatticeVector) -> Matrix:
-        a = _mat_pow(self.matrix_a, v[0], self.magnitude_cap)
-        b = _mat_pow(self.matrix_b, v[1], self.magnitude_cap)
-        return _mat_mul(a, b)
-
-    def apply(self, v: LatticeVector, x: TorusPoint) -> TorusPoint:
-        m = self.matrix_for(v)
-        return _apply_matrix(m, x)
-
-    def distance(self, x: TorusPoint, y: TorusPoint) -> float:
-        return torus_distance(self, x, y)
-
-
-def _apply_matrix(m: Matrix, x: TorusPoint) -> TorusPoint:
-    return (
-        (m[0][0] * x[0] + m[0][1] * x[1]) % 1.0,
-        (m[1][0] * x[0] + m[1][1] * x[1]) % 1.0,
-    )
-
-
-def torus_metric(x: TorusPoint, y: TorusPoint) -> float:
-    """Sup-norm distance on the 2-torus, capped at 1."""
-    out = 0.0
-    for a, b in zip(x, y):
-        d = abs(a - b) % 1.0
-        d = min(d, 1.0 - d)
-        if d > out:
-            out = d
-    return min(out, 1.0)
-
-
-@functools.lru_cache(maxsize=None)
-def _torus_transforms(system: TorusSystem) -> tuple[tuple[LatticeVector, Matrix], ...]:
-    return tuple(
-        (v, system.matrix_for(v)) for v in ball_vectors(system.truncation_radius)
-    )
-
-
-def torus_distance(system: TorusSystem, x: TorusPoint, y: TorusPoint) -> float:
-    """Truncated weighted metric; 0.0 when the points agree to 1e-12."""
-    a = float(system.alpha)
-    best = 0.0
-    for v, m in _torus_transforms(system):
-        d = torus_metric(_apply_matrix(m, x), _apply_matrix(m, y))
-        val = a ** (-v.norm) * d
-        if val > best:
-            best = val
-    return 0.0 if best <= 1e-12 else best

@@ -3,7 +3,9 @@
 Subcommands: color, cliques, opposite, bounds, dimension, probe.  Every
 run emits a manifest (JSON) recording the full parameter set, seeds,
 checksums of inputs and outputs, and wall time; primary outputs are byte
-deterministic given the manifest parameters, including across --threads.
+deterministic given the manifest parameters.  Every command runs in one
+thread: `color` and `cliques` accept --threads and record it in the
+manifest, but it has no effect.
 
 Exit codes: 0 ok, 2 usage, 3 size cap, 4 I/O, 5 verification failure.
 """
@@ -65,14 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--alpha", type=_fraction, default=Fraction(2))
     p_color.add_argument("--max-vertices", type=int, default=None)
     p_color.add_argument("--seed", type=int, default=0)
-    p_color.add_argument("--threads", type=int, default=1)
+    p_color.add_argument("--threads", type=int, default=1, help="recorded only; no effect")
     p_color.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
     p_color.add_argument("--out", required=True)
     p_color.set_defaults(func=cmd_color)
 
     p_cliques = sub.add_parser("cliques", help="analyze a DECG file")
     p_cliques.add_argument("path")
-    p_cliques.add_argument("--threads", type=int, default=1)
+    p_cliques.add_argument("--threads", type=int, default=1, help="recorded only; no effect")
     p_cliques.add_argument("--out", default=None)
     p_cliques.set_defaults(func=cmd_cliques)
 
@@ -102,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--n", type=int, required=True)
     p_probe.add_argument("--k", type=int, default=2)
     p_probe.add_argument("--alpha", type=_fraction, default=Fraction(2))
-    p_probe.add_argument("--budget", type=int, default=10**6)
     p_probe.add_argument("--out", default=None)
     p_probe.set_defaults(func=cmd_probe)
 
@@ -176,7 +177,7 @@ def cmd_color(args) -> int:
         universe = "stream"
         sampled = f"subsampled seed={args.seed}"
     vertices = greedy_separated(system, stream, system.epsilon(args.n), universe)
-    graph = color_graph(system, vertices, args.n, sampled=sampled, threads=args.threads)
+    graph = color_graph(system, vertices, args.n, sampled=sampled)
     outputs = _emit(decg_dumps(graph), args.out, _decg_checksum(graph))
     params = {
         "system": "shift",
@@ -195,12 +196,12 @@ def cmd_color(args) -> int:
 def cmd_cliques(args) -> int:
     started = time.perf_counter()
     graph = read_decg(args.path)
-    bad = revalidate_edges(graph, threads=args.threads)
+    bad = revalidate_edges(graph)
     if bad is not None:
         i, j, reason = bad
         sys.stderr.write(f"error: edge ({i}, {j}) fails revalidation: {reason}\n")
         return EXIT_VERIFY
-    report = mono_clique_report(graph, threads=args.threads)
+    report = mono_clique_report(graph)
     cert = opposite_upper_bound(report, graph, revalidated=True)
     payload = {
         "clique_report": report.to_json(),
@@ -245,7 +246,7 @@ def cmd_dimension(args) -> int:
 def cmd_probe(args) -> int:
     started = time.perf_counter()
     system = ShiftSystem(alphabet_size=args.k, alpha=args.alpha)
-    result = probe_question(system, args.n, budget=args.budget)
+    result = probe_question(system, args.n)
     t = system.threshold_exponent
     lo, hi = args.n + t + 1, args.n * args.n
     if result is None:
@@ -276,7 +277,6 @@ def cmd_probe(args) -> int:
         "n": args.n,
         "k": args.k,
         "alpha": str(args.alpha),
-        "budget": args.budget,
     }
     _write_manifest(args, params, {}, outputs, started)
     return EXIT_OK

@@ -10,7 +10,6 @@ pairwise 1/(4*alpha) apart.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -191,20 +190,13 @@ class CliqueReport:
         }
 
 
-def mono_clique_report(
-    graph: ColoredGraph, cap: int = DEFAULT_CLIQUE_CAP, threads: int = 1
-) -> CliqueReport:
+def mono_clique_report(graph: ColoredGraph, cap: int = DEFAULT_CLIQUE_CAP) -> CliqueReport:
     """Run max_clique on every color class and certify the winner.
 
     The winning clique's image under the winning color's shift is
     re-checked to be pairwise separated at the 1/(4*alpha) threshold.
     """
-    classes = color_classes(graph)
-    if threads <= 1:
-        results = [max_clique(cls, cap) for cls in classes]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda cls: max_clique(cls, cap), classes))
+    results = [max_clique(cls, cap) for cls in color_classes(graph)]
     vectors = graph.colors.vectors
     entries = tuple(
         ColorCliqueEntry(c, vectors[c], order, tuple(witness))
@@ -232,7 +224,7 @@ def mono_clique_report(
     )
 
 
-def revalidate_edges(graph: ColoredGraph, threads: int = 1):
+def revalidate_edges(graph: ColoredGraph):
     """Independently recheck every edge's witness.
 
     For each edge {x, y} colored v, grows coset-norm windows around v until
@@ -241,20 +233,6 @@ def revalidate_edges(graph: ColoredGraph, threads: int = 1):
     most the threshold and equals the stored value.  Returns None when all
     edges pass, else (i, j, reason) for the first bad edge.
     """
-    if threads <= 1:
-        return _revalidate_range(graph, 0, graph.vertex_count)
-    rows = list(range(graph.vertex_count))
-    step = max(1, len(rows) // (threads * 4))
-    spans = [(rows[s], min(rows[s] + step, graph.vertex_count)) for s in range(0, len(rows), step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda span: _revalidate_range(graph, *span), spans))
-    for r in results:
-        if r is not None:
-            return r
-    return None
-
-
-def _revalidate_range(graph: ColoredGraph, row_start: int, row_end: int):
     # Windows, never the colorer's scan ranks: the check must not repeat
     # the logic it checks.
     t = graph.system.threshold_exponent
@@ -262,7 +240,7 @@ def _revalidate_range(graph: ColoredGraph, row_start: int, row_end: int):
     verts = graph.vertices
     q = graph.vertex_count
     width = verts[0].width
-    for i in range(row_start, row_end):
+    for i in range(q):
         x = verts[i]
         base = i * (2 * q - i - 1) // 2 - i - 1
         for j in range(i + 1, q):

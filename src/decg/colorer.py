@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -142,11 +141,35 @@ class ColoredGraph:
         return self._checksum
 
 
-def _color_rows(vertices, runs, color_of_rank, row_range) -> list[int]:
+def color_graph(
+    system: ShiftSystem,
+    vertices,
+    n: int,
+    sampled: str = "full",
+) -> ColoredGraph:
+    """Color the complete graph on `vertices` with the window C_n.
+
+    Each edge's color is the witness vector from find_witness: the
+    differing site of least norm in scan order, which always achieves
+    exponent 0.  A pair with no differing site in the window, which means
+    the input is not alpha**-n-separated, raises NoWitness.  Output is
+    deterministic.
+    """
+    points = tuple(vertices.points if isinstance(vertices, SeparatedSet) else vertices)
+    if not points:
+        raise ValueError("graph needs at least one vertex")
+    for p in points:
+        system.check_point(p)
+    widths = {p.width for p in points}
+    if len(widths) != 1:
+        raise MismatchedSystems(f"vertices mix periods {sorted(widths)}")
+    (width,) = widths
+    vectors, runs = scan_ranks(width, n)
+    color_of_rank = [build_color_set(n).index_of(v) for v in vectors]
+    q = len(points)
     colors: list[int] = []
-    q = len(vertices)
-    columns = list(zip(*(p.planes for p in vertices)))  # plane j of every vertex
-    for i in row_range:
+    columns = list(zip(*(p.planes for p in points)))  # plane j of every vertex
+    for i in range(q):
         diffs = [0] * (q - i - 1)  # diff masks of the pairs (i, j > i)
         for column in columns:
             own = column[i]
@@ -160,47 +183,6 @@ def _color_rows(vertices, runs, color_of_rank, row_range) -> list[int]:
                 pair=(i, j),
             )
         colors.extend([color_of_rank[r] for r in row])
-    return colors
-
-
-def color_graph(
-    system: ShiftSystem,
-    vertices,
-    n: int,
-    sampled: str = "full",
-    threads: int = 1,
-) -> ColoredGraph:
-    """Color the complete graph on `vertices` with the window C_n.
-
-    Each edge's color is the witness vector from find_witness: the
-    differing site of least norm in scan order, which always achieves
-    exponent 0.  A pair with no differing site in the window, which means
-    the input is not alpha**-n-separated, raises NoWitness.  Output is
-    deterministic and independent of `threads`.
-    """
-    if not isinstance(system, ShiftSystem):
-        raise TypeError("color_graph builds shift graphs; torus graphs are not supported")
-    points = tuple(vertices.points if isinstance(vertices, SeparatedSet) else vertices)
-    if not points:
-        raise ValueError("graph needs at least one vertex")
-    for p in points:
-        system.check_point(p)
-    widths = {p.width for p in points}
-    if len(widths) != 1:
-        raise MismatchedSystems(f"vertices mix periods {sorted(widths)}")
-    (width,) = widths
-    vectors, runs = scan_ranks(width, n)
-    color_of_rank = [build_color_set(n).index_of(v) for v in vectors]
-    q = len(points)
-    if threads <= 1 or q < 4:
-        colors = _color_rows(points, runs, color_of_rank, range(q))
-    else:
-        chunks = _row_chunks(q, threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda rows: _color_rows(points, runs, color_of_rank, rows), chunks)
-            )
-        colors = [c for part in parts for c in part]
     return ColoredGraph(
         system=system,
         n=n,
@@ -209,24 +191,6 @@ def color_graph(
         edge_quality=(0,) * len(colors),
         sampled=sampled,
     )
-
-
-def _row_chunks(q: int, parts: int) -> list[range]:
-    # Balance by edge count: row i contributes q-1-i edges.
-    total = q * (q - 1) // 2
-    target = max(1, total // parts)
-    chunks = []
-    start = 0
-    acc = 0
-    for i in range(q):
-        acc += q - 1 - i
-        if acc >= target and i + 1 > start:
-            chunks.append(range(start, i + 1))
-            start = i + 1
-            acc = 0
-    if start < q:
-        chunks.append(range(start, q))
-    return chunks
 
 
 # --- DECG serialization ----------------------------------------------------
@@ -274,6 +238,13 @@ def _fail(line_no: int, message: str):
     raise BadFormat(line_no, message)
 
 
+def _header_int(line_no: int, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # isdigit passes superscripts; int refuses very long digit runs
+        _fail(line_no, str(exc))
+
+
 def read_decg(source) -> ColoredGraph:
     """Parse DECG text from a path, bytes, or binary file object.
 
@@ -307,24 +278,26 @@ def read_decg(source) -> ColoredGraph:
     m = _SYSTEM_RE.match(need(1))
     if m is None:
         _fail(2, "malformed system line")
-    k = int(m.group(1))
-    alpha = Fraction(int(m.group(2)), int(m.group(3)))
+    try:
+        k = int(m.group(1))
+        system = ShiftSystem(alphabet_size=k, alpha=Fraction(int(m.group(2)), int(m.group(3))))
+    except (ValueError, ZeroDivisionError) as exc:
+        _fail(2, f"bad system parameters: {exc}")
     line3 = need(2)
     if not line3.startswith("n ") or not line3[2:].isdigit():
         _fail(3, "malformed n line")
-    n = int(line3[2:])
+    n = _header_int(3, line3[2:])
     m4 = _HEADER4_RE.match(need(3))
     if m4 is None:
         _fail(4, "malformed vertices/colors/sampled line")
-    q = int(m4.group(1))
-    palette = int(m4.group(2))
+    q = _header_int(4, m4.group(1))
+    palette = _header_int(4, m4.group(2))
     sampled = m4.group(3)
     if q < 1:
         _fail(4, "vertex count must be positive")
     if palette != (2 * n + 1) ** 2:
         _fail(4, f"colors {palette} does not equal (2n+1)^2 = {(2 * n + 1) ** 2}")
 
-    system = ShiftSystem(alphabet_size=k, alpha=alpha)
     colors = build_color_set(n)
 
     vertices: list[PeriodicConfiguration] = []
@@ -383,8 +356,8 @@ def read_decg(source) -> ColoredGraph:
         _fail(end_no, "malformed end line")
     if len(lines) != base + edge_total + 1:
         _fail(end_no + 1, "trailing content after end line")
-    body = "".join(line + "\n" for line in lines[:-1])
-    actual = f"{fnv1a64(body.encode('utf-8')):016x}"
+    # The end line is ASCII: the body is every byte before it and its newline.
+    actual = f"{fnv1a64(data[: len(data) - len(end_line) - 1]):016x}"
     stored = end_line[4:]
     if actual != stored:
         raise ChecksumMismatch(f"stored checksum {stored}, recomputed {actual}")

@@ -32,7 +32,7 @@ class SeparatedSet:
     """
 
     points: tuple
-    epsilon: ShiftDistance | float
+    epsilon: ShiftDistance
     maximal_wrt: str = "stream"
 
     def __post_init__(self):
@@ -43,22 +43,19 @@ class SeparatedSet:
         return len(self.points)
 
 
-def _keeps(system, kept, candidate, epsilon) -> bool:
-    if isinstance(system, ShiftSystem) and isinstance(epsilon, ShiftDistance):
-        e = epsilon.exponent
-        if e is None:
-            raise ValueError("epsilon must be positive")
-        for q in kept:
-            if not system.distance_at_least(candidate, q, e):
-                return False
-        return True
+def _keeps(system: ShiftSystem, kept, candidate, epsilon: ShiftDistance) -> bool:
+    e = epsilon.exponent
+    if e is None:
+        raise ValueError("epsilon must be positive")
     for q in kept:
-        if system.distance(candidate, q) < epsilon:
+        if not system.distance_at_least(candidate, q, e):
             return False
     return True
 
 
-def greedy_separated(system, points: Iterable, epsilon, universe: str = "stream") -> SeparatedSet:
+def greedy_separated(
+    system: ShiftSystem, points: Iterable, epsilon: ShiftDistance, universe: str = "stream"
+) -> SeparatedSet:
     """First-fit greedy: keep a point iff it is >= epsilon from every kept one.
 
     The result is maximal with respect to the stream: every rejected point
@@ -73,18 +70,13 @@ def greedy_separated(system, points: Iterable, epsilon, universe: str = "stream"
     return SeparatedSet(tuple(kept), epsilon, universe)
 
 
-def separation_check(system, points: Sequence, epsilon):
+def separation_check(system: ShiftSystem, points: Sequence, epsilon: ShiftDistance):
     """Re-verify the pairwise bound.  Returns (True, None) or
     (False, (i, j)) with the first violating index pair in scan order."""
-    fast = isinstance(system, ShiftSystem) and isinstance(epsilon, ShiftDistance)
-    e = epsilon.exponent if fast else None
+    e = epsilon.exponent
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            if fast:
-                ok = system.distance_at_least(points[i], points[j], e)
-            else:
-                ok = system.distance(points[i], points[j]) >= epsilon
-            if not ok:
+            if not system.distance_at_least(points[i], points[j], e):
                 return False, (i, j)
     return True, None
 

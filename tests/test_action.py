@@ -1,6 +1,5 @@
-"""Tests for the shift and torus actions."""
+"""Tests for the shift action."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -11,10 +10,8 @@ from decg import (
     LatticeVector,
     MismatchedSystems,
     PeriodicConfiguration,
-    PrecisionLoss,
     ShiftDistance,
     ShiftSystem,
-    TorusSystem,
     ball_vectors,
     encode_pattern,
     enumerate_periodic_points,
@@ -23,7 +20,6 @@ from decg import (
     ring_vectors,
     sample_periodic_points,
     shift_min_diff,
-    torus_distance,
 )
 from decg.action import min_diff_vector
 
@@ -276,49 +272,3 @@ def test_pattern_encoding_errors():
         parse_pattern("k2:w3:0101")
     with pytest.raises(ValueError):
         parse_pattern("k2:w2:0121")  # symbol 2 outside alphabet of 2
-
-
-# --- torus ------------------------------------------------------------------
-
-FIB = ((2, 1), (1, 1))
-FIB2 = ((5, 3), (3, 2))  # FIB squared; commutes with FIB
-
-
-def test_torus_rejects_bad_generators():
-    with pytest.raises(ValueError):
-        TorusSystem(((1, 1), (0, 1)), FIB2)  # parabolic: eigenvalue modulus 1
-    with pytest.raises(ValueError):
-        TorusSystem(((2, 0), (0, 2)), FIB2)  # determinant 4
-    with pytest.raises(ValueError):
-        TorusSystem(FIB, ((2, 1), (1, 1 + 1)))  # does not commute with A
-
-
-def test_torus_distance_trivial_cases():
-    system = TorusSystem(FIB, FIB2, truncation_radius=0)
-    assert torus_distance(system, (0.3, 0.7), (0.3, 0.7)) == 0.0
-    # N = 0 reduces to the plain torus metric
-    assert torus_distance(system, (0.0, 0.0), (0.5, 0.0)) == pytest.approx(0.5)
-
-
-def test_torus_distance_brute_force_value():
-    # frozen from a direct evaluation of the nine shifted distances
-    system = TorusSystem(FIB, FIB2, alpha=Fraction(2), truncation_radius=1)
-    assert torus_distance(system, (0.0, 0.0), (0.25, 0.0)) == pytest.approx(0.25)
-
-
-def test_torus_group_law():
-    system = TorusSystem(FIB, FIB2)
-    rng = random.Random(2)
-    for _ in range(10):
-        x = (rng.random(), rng.random())
-        for u, v in itertools.product(ball_vectors(1), repeat=2):
-            a = system.apply(u, system.apply(v, x))
-            b = system.apply(u + v, x)
-            assert a[0] == pytest.approx(b[0], abs=1e-9)
-            assert a[1] == pytest.approx(b[1], abs=1e-9)
-
-
-def test_torus_magnitude_cap():
-    system = TorusSystem(FIB, FIB2, magnitude_cap=10)
-    with pytest.raises(PrecisionLoss):
-        system.apply(LatticeVector(40, 0), (0.1, 0.2))

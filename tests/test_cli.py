@@ -148,6 +148,28 @@ def test_cliques_checksum_mismatch_exit_5(tmp_path, capsys):
     assert main(["cliques", str(out)]) == 5
 
 
+@pytest.mark.parametrize(
+    "line_no, header",
+    [
+        (2, "system shift k=2 alpha=2/0"),
+        (2, "system shift k=1 alpha=2/1"),
+        (2, "system shift k=2 alpha=1/1"),
+        (3, "n " + "1" * 5000),  # past int's default 4300-digit limit
+        (3, "n \u00b2"),  # str.isdigit accepts superscripts; int does not
+        (4, f"vertices {'1' * 5000}  colors 9  sampled full"),
+    ],
+)
+def test_cliques_bad_header_numbers_exit_5(tmp_path, capsys, line_no, header):
+    out = tmp_path / "g.decg"
+    assert main(["color", "--k", "2", "--n", "1", "--max-vertices", "4",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().split("\n")
+    lines[line_no - 1] = header
+    out.write_text("\n".join(lines))
+    assert main(["cliques", str(out)]) == 5
+    assert f"error: line {line_no}: " in capsys.readouterr().err
+
+
 def test_opposite_output(tmp_path):
     out = tmp_path / "r.json"
     assert main(["opposite", "--p", "2", "--q", "6", "--out", str(out)]) == 0

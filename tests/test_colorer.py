@@ -28,7 +28,7 @@ from decg import (
 SYSTEM = ShiftSystem(2)
 
 
-def _graph(width, n, count=None, seed=7, threads=1):
+def _graph(width, n, count=None, seed=7):
     if count is None:
         pts = list(enumerate_periodic_points(2, width))
         sampled = "full"
@@ -36,7 +36,7 @@ def _graph(width, n, count=None, seed=7, threads=1):
         pts = sample_periodic_points(2, width, count, seed)
         sampled = f"subsampled seed={seed}"
     sep = greedy_separated(SYSTEM, pts, SYSTEM.epsilon(n))
-    return color_graph(SYSTEM, sep, n, sampled=sampled, threads=threads)
+    return color_graph(SYSTEM, sep, n, sampled=sampled)
 
 
 def test_fnv1a64_reference_vectors():
@@ -89,14 +89,6 @@ def test_mini_pipeline_k16():
         vi = SYSTEM.apply(res.vector, g.vertices[i])
         vj = SYSTEM.apply(res.vector, g.vertices[j])
         assert vi.at(0, 0) != vj.at(0, 0)
-
-
-def test_color_graph_threads_deterministic():
-    a = _graph(3, 1, count=120, threads=1)
-    b = _graph(3, 1, count=120, threads=4)
-    assert a.edge_colors == b.edge_colors
-    assert a.edge_quality == b.edge_quality
-    assert decg_dumps(a) == decg_dumps(b)
 
 
 def test_color_graph_rejects_unseparated_input():

@@ -6,13 +6,11 @@ import random
 import pytest
 
 from decg import (
-    CapExceeded,
     LatticeVector,
     NoWitness,
     PeriodicConfiguration,
     ShiftDistance,
     ShiftSystem,
-    TorusSystem,
     ball_vectors,
     enumerate_periodic_points,
     find_witness,
@@ -65,9 +63,8 @@ def test_find_witness_out_of_reach_coset():
 def test_find_witness_rejects_negative_radius():
     x = PeriodicConfiguration.constant(2, 3)
     y = x.with_cell(1, 0, 1)
-    for system, a, b in ((SYSTEM, x, y), (TORUS, (0.1, 0.3), (0.6, 0.8))):
-        with pytest.raises(ValueError, match="n must be >= 0"):
-            find_witness(system, a, b, -1)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        find_witness(SYSTEM, x, y, -1)
 
 
 def test_find_witness_succeeds_iff_exponent_within_radius():
@@ -152,34 +149,3 @@ def test_probe_question_finds_and_reverifies_at_n3():
 def test_probe_question_rejects_bad_n():
     with pytest.raises(ValueError):
         probe_question(SYSTEM, 0)
-
-
-# --- torus ------------------------------------------------------------------
-
-TORUS = TorusSystem(((2, 1), (1, 1)), ((5, 3), (3, 2)), truncation_radius=2)
-
-
-def test_find_witness_torus_smoke():
-    x = (0.1, 0.3)
-    y = (0.6, 0.8)
-    res = find_witness(TORUS, x, y, 2)
-    assert res.achieved >= TORUS.threshold
-    assert res.vector.norm <= 2
-
-
-def test_verify_recovery_torus_records_failures():
-    rng = random.Random(9)
-    pairs = [
-        ((rng.random(), rng.random()), (rng.random(), rng.random()))
-        for _ in range(100)
-    ]
-    report = verify_recovery(TORUS, pairs, 3)
-    assert report.pairs_checked + report.skipped == 100
-    # failures are data, not errors
-    for _, _, best in report.failures:
-        assert best < TORUS.threshold
-
-
-def test_probe_question_torus_budget():
-    with pytest.raises(CapExceeded):
-        probe_question(TORUS, 2, budget=50)

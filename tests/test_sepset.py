@@ -11,7 +11,6 @@ from decg import (
     RangeTooSmall,
     ShiftDistance,
     ShiftSystem,
-    TorusSystem,
     dimension_sequence,
     enumerate_periodic_points,
     greedy_separated,
@@ -22,7 +21,6 @@ from decg import (
 )
 
 SYSTEM = ShiftSystem(2)
-TORUS = TorusSystem(((2, 1), (1, 1)), ((5, 3), (3, 2)), truncation_radius=0)
 
 
 def test_greedy_rejects_duplicates():
@@ -41,19 +39,6 @@ def test_greedy_keeps_all_w3_patterns_at_scale_1():
     assert out.maximal_wrt == "exhaustive"
     ok, pair = separation_check(SYSTEM, out.points, SYSTEM.epsilon(1))
     assert ok and pair is None
-
-
-def test_greedy_torus_grid():
-    grid = [(i / 10.0, j / 10.0) for i in range(10) for j in range(10)]
-    out = greedy_separated(TORUS, grid, 0.15)
-    ok, _ = separation_check(TORUS, out.points, 0.15)
-    assert ok
-    # maximal w.r.t. the grid: every rejected point is within < 0.15 of a kept one
-    kept = set(out.points)
-    for p in grid:
-        if p in kept:
-            continue
-        assert any(TORUS.distance(p, q) < 0.15 for q in out.points)
 
 
 def test_greedy_requires_positive_epsilon():
