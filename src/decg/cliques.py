@@ -1,9 +1,11 @@
 """Monochromatic clique analysis of colored complete graphs.
 
 Each color class is searched with an exact branch-and-bound maximum clique
-solver (pivoting plus degeneracy seed order, bitset adjacency).  The
-overall maximum over colors upper-bounds the opposite-Ramsey number of the
-graph's parameters, and the winning clique doubles as a separation
+solver (pivoting, bitset adjacency) whose vertices are seeded in
+degeneracy order.  That order comes from a bucket queue with a
+(degree, index) tie-break, so it costs O(q + m) bitmask updates per class.
+The overall maximum over colors upper-bounds the opposite-Ramsey number of
+the graph's parameters, and the winning clique doubles as a separation
 certificate: shifting its vertices by the winning color must leave them
 pairwise 1/(4*alpha) apart.
 """
@@ -37,19 +39,28 @@ def color_class_adjacency(graph: ColoredGraph, color_index: int) -> list[int]:
 
 def color_classes(graph: ColoredGraph) -> list[list[int]]:
     """Adjacency bitmasks of every color class in one pass."""
-    classes = [[0] * graph.vertex_count for _ in range(len(graph.colors))]
-    for i, j, c, _ in graph.iter_edges():
-        classes[c][i] |= 1 << j
-        classes[c][j] |= 1 << i
+    q = graph.vertex_count
+    classes = [[0] * q for _ in range(len(graph.colors))]
+    colors = graph.edge_colors
+    end = 0
+    for i in range(q):
+        bit = 1 << i
+        start, end = end, end + q - 1 - i
+        for j, c in enumerate(colors[start:end], i + 1):
+            masks = classes[c]
+            masks[i] |= 1 << j
+            masks[j] |= bit
     return classes
 
 
 def max_clique(adjacency: Sequence[int], cap: int = DEFAULT_CLIQUE_CAP) -> tuple[int, list[int]]:
     """Exact maximum clique order and one witness clique.
 
-    Branch and bound with pivoting; vertices are seeded in degeneracy
-    order.  Deterministic: the witness is the first maximum found by the
-    fixed branch order.  Raises CapExceeded above `cap` vertices.
+    `adjacency` is symmetric: bit j of adjacency[i] is set iff {i, j} is
+    an edge (bit i of adjacency[i] is ignored).  Branch and bound with
+    pivoting; vertices are seeded in degeneracy order.  Deterministic:
+    the witness is the first maximum found by the fixed branch order.
+    Raises CapExceeded above `cap` vertices.
     """
     q = len(adjacency)
     if q == 0:
@@ -59,7 +70,9 @@ def max_clique(adjacency: Sequence[int], cap: int = DEFAULT_CLIQUE_CAP) -> tuple
     masks = [adjacency[v] & ~(1 << v) for v in range(q)]
 
     order = _degeneracy_order(masks)
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * q
+    for i, v in enumerate(order):
+        pos[v] = i
     radj = [0] * q
     for v in range(q):
         m = masks[v]
@@ -109,23 +122,43 @@ def max_clique(adjacency: Sequence[int], cap: int = DEFAULT_CLIQUE_CAP) -> tuple
 
 
 def _degeneracy_order(masks: Sequence[int]) -> list[int]:
+    """Smallest-last order: repeatedly remove the remaining vertex of least
+    (remaining degree, index).
+
+    Bucket queue (Matula & Beck 1983): buckets[d] is the bitmask of the
+    remaining vertices of current degree d, so each pick is the lowest bit
+    of the lowest nonempty bucket.  Removing v moves each remaining
+    neighbour down one bucket, so the bucket pointer steps back by at most
+    one.
+    """
     q = len(masks)
+    degree = [m.bit_count() for m in masks]
+    buckets = [0] * q  # degrees run from 0 to q - 1
+    for v, d in enumerate(degree):
+        buckets[d] |= 1 << v
     remaining = (1 << q) - 1
     order = []
+    d = 0
     for _ in range(q):
-        best_v = -1
-        best_deg = q + 1
-        m = remaining
+        while not buckets[d]:
+            d += 1
+        bucket = buckets[d]
+        low = bucket & -bucket
+        buckets[d] = bucket ^ low
+        remaining ^= low
+        v = low.bit_length() - 1
+        order.append(v)
+        m = masks[v] & remaining
         while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            deg = (masks[v] & remaining).bit_count()
-            if deg < best_deg:
-                best_deg = deg
-                best_v = v
-            m ^= low
-        order.append(best_v)
-        remaining &= ~(1 << best_v)
+            bit = m & -m
+            u = bit.bit_length() - 1
+            du = degree[u]
+            buckets[du] ^= bit
+            buckets[du - 1] |= bit
+            degree[u] = du - 1
+            m ^= bit
+        if d:
+            d -= 1
     return order
 
 

@@ -43,14 +43,12 @@ class SeparatedSet:
         return len(self.points)
 
 
-def _keeps(system: ShiftSystem, kept, candidate, epsilon: ShiftDistance) -> bool:
+def _positive_exponent(epsilon: ShiftDistance) -> int:
+    """The exponent of a positive separation scale; zero is refused."""
     e = epsilon.exponent
     if e is None:
         raise ValueError("epsilon must be positive")
-    for q in kept:
-        if not system.distance_at_least(candidate, q, e):
-            return False
-    return True
+    return e
 
 
 def greedy_separated(
@@ -63,9 +61,10 @@ def greedy_separated(
     member of each cluster survives, so the output is deterministic for a
     deterministic stream.
     """
+    e = _positive_exponent(epsilon)
     kept: list = []
     for p in points:
-        if _keeps(system, kept, p, epsilon):
+        if all(system.distance_at_least(p, q, e) for q in kept):
             kept.append(p)
     return SeparatedSet(tuple(kept), epsilon, universe)
 
@@ -73,7 +72,7 @@ def greedy_separated(
 def separation_check(system: ShiftSystem, points: Sequence, epsilon: ShiftDistance):
     """Re-verify the pairwise bound.  Returns (True, None) or
     (False, (i, j)) with the first violating index pair in scan order."""
-    e = epsilon.exponent
+    e = _positive_exponent(epsilon)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             if not system.distance_at_least(points[i], points[j], e):

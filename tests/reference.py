@@ -1,8 +1,10 @@
-"""Reference oracles for the packed witness primitive.
+"""Reference oracles for decg's fast paths.
 
-These are the cell-by-cell tuple scans that decg ran before configurations
-gained a packed bit-plane form.  They share no code with the package's
+Most are the cell-by-cell tuple scans that decg ran before configurations
+gained a packed bit-plane form; they share no code with the package's
 masks and scan ranks, so the cross-check tests compare the two.
+`degeneracy_order` is the quadratic rescan that the clique engine ran
+before its bucket queue.
 """
 
 from decg import ShiftDistance, ball_vectors, build_color_set, ring_vectors
@@ -88,3 +90,26 @@ def revalidation_exponent(x, y, v) -> int | None:
             if x.cells[idx] != y.cells[idx]:
                 return r
     return None
+
+
+def degeneracy_order(masks) -> list[int]:
+    """Smallest-last order by rescanning every remaining vertex per pick:
+    the least remaining degree wins, ties to the lowest index."""
+    q = len(masks)
+    remaining = (1 << q) - 1
+    order = []
+    for _ in range(q):
+        best_v = -1
+        best_deg = q + 1
+        m = remaining
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            deg = (masks[v] & remaining).bit_count()
+            if deg < best_deg:
+                best_deg = deg
+                best_v = v
+            m ^= low
+        order.append(best_v)
+        remaining &= ~(1 << best_v)
+    return order

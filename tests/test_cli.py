@@ -64,6 +64,22 @@ def test_manifest_checksums_are_whole_file_fnv(tmp_path):
     assert cliques["outputs"] == {str(rep): f"{reference.fnv1a64(rep.read_bytes()):016x}"}
 
 
+# FNV-1a-64 of the `decg cliques` report on the exhaustive n=1 graph (the
+# DECG file pinned at 43bc3d89ab4e5347).  Every color class there has
+# order 2, so the pin guards the witnesses, which the clique search's
+# branch order picks.
+N1_REPORT_FNV = "30501820f0fe5353"
+
+
+def test_cliques_report_n1_is_pinned(tmp_path):
+    out = tmp_path / "g.decg"
+    rep = tmp_path / "r.json"
+    assert main(["color", "--k", "2", "--n", "1", "--out", str(out)]) == 0
+    assert f"{fnv1a64(out.read_bytes()):016x}" == "43bc3d89ab4e5347"
+    assert main(["cliques", str(out), "--out", str(rep)]) == 0
+    assert f"{fnv1a64(rep.read_bytes()):016x}" == N1_REPORT_FNV
+
+
 def test_cliques_single_vertex_graph(tmp_path):
     out = tmp_path / "one.decg"
     assert main(["color", "--k", "2", "--n", "1", "--max-vertices", "1",

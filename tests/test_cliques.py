@@ -1,10 +1,12 @@
 """Tests for the exact clique engine and monochromatic analysis."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
+import reference
 from decg import (
     CapExceeded,
     PeriodicConfiguration,
@@ -21,6 +23,7 @@ from decg import (
     sample_periodic_points,
     separation_check,
 )
+from decg.cliques import _degeneracy_order, color_classes
 from decg.colorer import ColoredGraph
 
 SYSTEM = ShiftSystem(2)
@@ -105,6 +108,51 @@ def test_max_clique_agrees_with_networkx(density):
         assert order == expected, (q, density)
         assert len(witness) == order
         assert graph.subgraph(witness).number_of_edges() == order * (order - 1) // 2
+
+
+def _random_adjacency(rng, q, density):
+    return _adjacency(
+        q, [(i, j) for i in range(q) for j in range(i + 1, q) if rng.random() < density]
+    )
+
+
+@pytest.mark.parametrize("density", [d / 10 for d in range(11)])
+def test_degeneracy_order_matches_reference_random(density):
+    # density 0 and 1 give the empty and the complete graph on every q
+    rng = random.Random(round(density * 10))
+    for q in range(61):
+        masks = _random_adjacency(rng, q, density)
+        assert _degeneracy_order(masks) == reference.degeneracy_order(masks), (q, density)
+
+
+@functools.cache
+def _shift_graph(n, max_vertices=None):
+    """The `decg color --k 2 --n n` graph: exhaustive, or sampled at seed 7."""
+    width = 2 * n + 1
+    if max_vertices is None:
+        pts = enumerate_periodic_points(2, width)
+        sep = greedy_separated(SYSTEM, pts, SYSTEM.epsilon(n), universe="exhaustive")
+        return color_graph(SYSTEM, sep, n)
+    pts = sample_periodic_points(2, width, max_vertices, seed=7)
+    sep = greedy_separated(SYSTEM, pts, SYSTEM.epsilon(n))
+    return color_graph(SYSTEM, sep, n, sampled="subsampled seed=7")
+
+
+@pytest.mark.parametrize(("n", "max_vertices"), [(1, None), (2, 200)])
+def test_degeneracy_order_matches_reference_on_color_classes(n, max_vertices):
+    g = _shift_graph(n, max_vertices)
+    assert g.vertex_count == (512 if max_vertices is None else max_vertices)
+    for c, masks in enumerate(color_classes(g)):
+        assert _degeneracy_order(masks) == reference.degeneracy_order(masks), c
+
+
+@pytest.mark.parametrize(("n", "max_vertices"), [(1, None), (2, 200)])
+def test_color_classes_match_color_class_adjacency(n, max_vertices):
+    g = _shift_graph(n, max_vertices)
+    classes = color_classes(g)
+    assert len(classes) == len(g.colors)
+    for c, masks in enumerate(classes):
+        assert masks == color_class_adjacency(g, c), c
 
 
 def _k16():

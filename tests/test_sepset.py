@@ -46,6 +46,15 @@ def test_greedy_requires_positive_epsilon():
         greedy_separated(SYSTEM, [PeriodicConfiguration.constant(2, 3)], ShiftDistance.zero())
 
 
+def test_zero_epsilon_is_refused_by_both_entry_points():
+    x = PeriodicConfiguration.constant(2, 3)
+    pair = [x, x.with_cell(0, 0, 1)]
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        greedy_separated(SYSTEM, pair, ShiftDistance.zero())
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        separation_check(SYSTEM, pair, ShiftDistance.zero())
+
+
 def test_separation_check_singleton_and_violation():
     x = PeriodicConfiguration.constant(2, 3)
     assert separation_check(SYSTEM, [x], SYSTEM.epsilon(1)) == (True, None)
