@@ -87,12 +87,9 @@ def max_clique(adjacency: Sequence[int], cap: int = DEFAULT_CLIQUE_CAP) -> tuple
     best_clique = [0]
 
     def expand(r: list[int], p: int):
+        # p is never empty: the branch loop below settles leaves itself,
+        # and the seed loop skips empty candidate sets
         nonlocal best, best_clique
-        if p == 0:
-            if len(r) > best:
-                best = len(r)
-                best_clique = r.copy()
-            return
         if len(r) + p.bit_count() <= best:
             return
         pivot = _pick_pivot(p, radj)
@@ -103,7 +100,12 @@ def max_clique(adjacency: Sequence[int], cap: int = DEFAULT_CLIQUE_CAP) -> tuple
             low = cand & -cand
             v = low.bit_length() - 1
             r.append(v)
-            expand(r, p & radj[v])
+            grown = p & radj[v]
+            if grown:
+                expand(r, grown)
+            elif len(r) > best:
+                best = len(r)
+                best_clique = r.copy()
             r.pop()
             p &= ~low
             cand ^= low

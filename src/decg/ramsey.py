@@ -3,11 +3,23 @@
 The opposite-Ramsey number r(p, q) is the minimum over all p-colorings of
 the edges of K_q of the largest monochromatic clique order.  The oracle
 enumerates colorings as a mixed-radix counter over the edges in (i < j)
-order, pruning any prefix that already forces a clique at least as large
-as the running minimum, plus color-relabeling symmetry (a fresh color may
-only be introduced as the smallest unused index, which preserves both the
-minimum and the lexicographically first extremal coloring, since relabeling
-colors never changes clique structure and only lowers lexicographic rank).
+order, with color-relabeling symmetry broken (a fresh color may only be
+introduced as the smallest unused index, which preserves both the minimum
+and the lexicographically first extremal coloring, since relabeling colors
+never changes clique structure and only lowers lexicographic rank).  It
+prunes any prefix that already forces a clique at least as large as the
+running minimum `best`, in two ways:
+
+- the bounded forced order: the clique search through a new edge only
+  looks between the prefix's current order and best, and with best <= 3
+  a shared neighbour alone decides;
+- forward checking: a prefix is dropped when some still uncolored edge
+  would close such a clique in every color.
+
+Classes only grow along a prefix and best only falls, so every dropped
+subtree holds only colorings that could not lower best: r and the first
+extremal coloring are those of the unpruned enumeration.  ramsey_holds
+runs the same search with best starting at k.
 """
 
 from __future__ import annotations
@@ -55,34 +67,101 @@ def _check_cap(p: int, q: int, cap: int) -> None:
         )
 
 
-def _mask_clique(mask: int, rows) -> int:
-    """Max clique order within the vertex bitmask, tiny-instance brute force."""
-    best = 0
+def _forced_order(rows, a: int, b: int, cur: int, best: int) -> int:
+    """max(cur, order of the largest clique through edge (a, b) once it
+    joins the color class `rows`), exact below `best`.
 
-    def go(depth: int, p: int):
-        nonlocal best
+    Any value >= best only says the color is barred for the edge: the
+    search in the common neighbourhood looks for cliques larger than
+    cur - 2 and stops at the first of order best - 2.  With best <= 3 a
+    nonempty common neighbourhood decides that alone.
+    """
+    common = rows[a] & rows[b]
+    if not common:
+        return cur if cur > 2 else 2
+    if best <= 3:
+        return 3
+    found = cur - 2
+    goal = best - 2
+
+    def go(depth: int, p: int) -> bool:
+        nonlocal found
         if p == 0:
-            if depth > best:
-                best = depth
-            return
+            if depth > found:
+                found = depth
+            return found >= goal
         while p:
-            if depth + p.bit_count() <= best:
-                return
+            if depth + p.bit_count() <= found:
+                return False
             low = p & -p
-            v = low.bit_length() - 1
-            go(depth + 1, p & rows[v])
+            if go(depth + 1, p & rows[low.bit_length() - 1]):
+                return True
             p ^= low
+        return False
 
-    go(0, mask)
-    return best
+    go(0, common)
+    return 2 + found
 
 
-def _forced_order(rows, i: int, j: int) -> int:
-    """Largest monochromatic clique through edge (i, j) after adding it."""
-    common = rows[i] & rows[j]
-    if common == 0:
-        return 2
-    return 2 + _mask_clique(common, rows)
+def _search(p: int, q: int, best: int, stop: int) -> tuple[int, tuple[int, ...] | None]:
+    """Least largest-monochromatic-clique order below `best` over the
+    p-colorings of K_q, and the first coloring in enumeration order that
+    attains it (None when no coloring goes below `best`).  The search ends
+    as soon as the minimum is at most `stop`.
+    """
+    edges = edge_list(q)
+    total = len(edges)
+    adj = [[0] * q for _ in range(p)]
+    col = [0] * total
+    best_col = None
+
+    def any_barred(a: int, m: int) -> bool:
+        # some open edge {a, x}, x in m, closes a clique of order >= best
+        # in every color
+        while m:
+            low = m & -m
+            x = low.bit_length() - 1
+            for rows in adj:
+                if _forced_order(rows, a, x, best - 1, best) < best:
+                    break
+            else:
+                return True
+            m ^= low
+        return False
+
+    def rec(t: int, cur: int, used: int):
+        nonlocal best, best_col
+        if t == total:
+            best = cur
+            best_col = tuple(col)
+            return
+        i, j = edges[t]
+        bi, bj = 1 << j, 1 << i
+        for c in range(min(used + 1, p)):
+            if best <= stop:
+                return
+            rows = adj[c]
+            new = _forced_order(rows, i, j, cur, best)
+            if new >= best:
+                continue
+            rows[i] |= bi
+            rows[j] |= bj
+            col[t] = c
+            # Forward check: the new edge only grows the common neighbourhood
+            # in color c of the open edges {i, x} (x a c-neighbour of j) and
+            # {j, x} (x a c-neighbour of i).  An open edge that every color
+            # bars stays barred below, since classes only grow and best only
+            # falls; a color no edge has yet bars nothing.
+            if not (
+                any_barred(i, rows[j] >> (j + 1) << (j + 1))
+                or any_barred(j, rows[i] >> (i + 1) << (i + 1) & ~bi)
+            ):
+                rec(t + 1, new, used if c < used else used + 1)
+            rows[i] &= ~bi
+            rows[j] &= ~bj
+
+    rec(0, 1, 0)
+    return best, best_col
 
 
 def opposite_ramsey_exact(
@@ -99,77 +178,25 @@ def opposite_ramsey_exact(
     if q < 2:
         raise ValueError("need at least two vertices")
     _check_cap(p, q, cap)
-    edges = edge_list(q)
-    total = len(edges)
-    adj = [[0] * q for _ in range(p)]
-    col = [0] * total
-    best = q + 1
-    best_col: tuple[int, ...] | None = None
-
-    def rec(t: int, cur: int, used: int):
-        nonlocal best, best_col
-        if t == total:
-            if cur < best:
-                best = cur
-                best_col = tuple(col)
-            return
-        i, j = edges[t]
-        bi, bj = 1 << j, 1 << i
-        for c in range(min(used + 1, p)):
-            rows = adj[c]
-            forced = _forced_order(rows, i, j)
-            new = cur if cur >= forced else forced
-            if new >= best:
-                continue
-            rows[i] |= bi
-            rows[j] |= bj
-            col[t] = c
-            rec(t + 1, new, used if c < used else used + 1)
-            rows[i] &= ~bi
-            rows[j] &= ~bj
-
-    rec(0, 1, 0)
-    assert best_col is not None
-    return OppositeRamseyResult(p, q, best, best_col)
+    # every coloring has a monochromatic K_2, so a minimum of 2 is final
+    r, coloring = _search(p, q, q + 1, 2)
+    assert coloring is not None
+    return OppositeRamseyResult(p, q, r, coloring)
 
 
 def ramsey_holds(p: int, k: int, q: int, cap: int = DEFAULT_ORACLE_CAP) -> bool:
     """True iff every p-coloring of K_q has a monochromatic K_k.
 
-    Shares the pruned enumerator with opposite_ramsey_exact and stops at
-    the first coloring with no monochromatic K_k.
+    Runs the opposite_ramsey_exact search with the running minimum
+    starting at k, and stops at the first coloring with no monochromatic
+    K_k.
     """
     if p < 1 or q < 2 or k < 1:
         raise ValueError("parameters must satisfy p >= 1, k >= 1, q >= 2")
-    if k <= 1:
-        return True
-    if k == 2:
+    if k <= 2:
         return True  # any edge is a monochromatic K_2, and q >= 2 has one
     _check_cap(p, q, cap)
-    edges = edge_list(q)
-    total = len(edges)
-    adj = [[0] * q for _ in range(p)]
-
-    def rec(t: int, used: int) -> bool:
-        # True when some completion below threshold k exists
-        if t == total:
-            return True
-        i, j = edges[t]
-        bi, bj = 1 << j, 1 << i
-        for c in range(min(used + 1, p)):
-            rows = adj[c]
-            if _forced_order(rows, i, j) >= k:
-                continue
-            rows[i] |= bi
-            rows[j] |= bj
-            found = rec(t + 1, used if c < used else used + 1)
-            rows[i] &= ~bi
-            rows[j] &= ~bj
-            if found:
-                return True
-        return False
-
-    return not rec(0, 0)
+    return _search(p, q, k, k - 1)[1] is None
 
 
 def verify_extremal(result: OppositeRamseyResult) -> bool:

@@ -4,10 +4,13 @@ Most are the cell-by-cell tuple scans that decg ran before configurations
 gained a packed bit-plane form; they share no code with the package's
 masks and scan ranks, so the cross-check tests compare the two.
 `degeneracy_order` is the quadratic rescan that the clique engine ran
-before its bucket queue.
+before its bucket queue, and `opposite_ramsey_reference` the enumerator
+the opposite-Ramsey oracle ran before its bounded clique search and
+forward checking.
 """
 
 from decg import ShiftDistance, ball_vectors, build_color_set, ring_vectors
+from decg.ramsey import edge_list
 
 
 def fnv1a64(data: bytes) -> int:
@@ -113,3 +116,70 @@ def degeneracy_order(masks) -> list[int]:
         order.append(best_v)
         remaining &= ~(1 << best_v)
     return order
+
+
+def _mask_clique(mask: int, rows) -> int:
+    """Max clique order within the vertex bitmask, tiny-instance brute force."""
+    best = 0
+
+    def go(depth: int, p: int):
+        nonlocal best
+        if p == 0:
+            if depth > best:
+                best = depth
+            return
+        while p:
+            if depth + p.bit_count() <= best:
+                return
+            low = p & -p
+            v = low.bit_length() - 1
+            go(depth + 1, p & rows[v])
+            p ^= low
+
+    go(0, mask)
+    return best
+
+
+def _forced_order(rows, i: int, j: int) -> int:
+    """Largest monochromatic clique through edge (i, j) after adding it."""
+    common = rows[i] & rows[j]
+    if common == 0:
+        return 2
+    return 2 + _mask_clique(common, rows)
+
+
+def opposite_ramsey_reference(p: int, q: int) -> tuple[int, tuple[int, ...]]:
+    """(r, first extremal coloring) by the enumerator the oracle ran before
+    its bounded clique search and forward checking: every candidate color
+    pays a full clique search through the new edge."""
+    edges = edge_list(q)
+    total = len(edges)
+    adj = [[0] * q for _ in range(p)]
+    col = [0] * total
+    best = q + 1
+    best_col = None
+
+    def rec(t: int, cur: int, used: int):
+        nonlocal best, best_col
+        if t == total:
+            if cur < best:
+                best = cur
+                best_col = tuple(col)
+            return
+        i, j = edges[t]
+        bi, bj = 1 << j, 1 << i
+        for c in range(min(used + 1, p)):
+            rows = adj[c]
+            forced = _forced_order(rows, i, j)
+            new = cur if cur >= forced else forced
+            if new >= best:
+                continue
+            rows[i] |= bi
+            rows[j] |= bj
+            col[t] = c
+            rec(t + 1, new, used if c < used else used + 1)
+            rows[i] &= ~bi
+            rows[j] &= ~bj
+
+    rec(0, 1, 0)
+    return best, best_col

@@ -195,6 +195,19 @@ def test_opposite_output(tmp_path):
     assert payload["edge_order"][0] == [0, 1]
 
 
+# FNV-1a-64 of the `decg opposite --p 3 --q 9` output (r = 2), taken from the
+# enumerator now kept as tests/reference.py::opposite_ramsey_reference: the
+# pruned search must write the same bytes.
+P3_Q9_FNV = "1b6f508629cadfc9"
+
+
+def test_opposite_p3_q9_is_pinned(tmp_path):
+    out = tmp_path / "o.json"
+    argv = ["opposite", "--p", "3", "--q", "9", "--cap", str(10**18), "--out", str(out)]
+    assert main(argv) == 0
+    assert f"{fnv1a64(out.read_bytes()):016x}" == P3_Q9_FNV
+
+
 def test_opposite_cap_exit_3(tmp_path):
     assert main(["opposite", "--p", "2", "--q", "12"]) == 3
 

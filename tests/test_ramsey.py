@@ -5,12 +5,14 @@ enumeration wherever that is affordable, and against certificate
 re-verification everywhere else.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+import reference
 from decg import (
     CapExceeded,
     InconsistentCertificate,
@@ -49,6 +51,33 @@ def _oracle_r(p, q):
         _max_mono_order(q, edges, coloring)
         for coloring in itertools.product(range(p), repeat=len(edges))
     )
+
+
+# The reference enumerator settles this whole grid in well under a second;
+# the nominal p**edges cap would refuse several of its points.
+GRID = [(p, q) for p in range(1, 5) for q in range(2, 9)]
+UNCAPPED = 10**30
+
+
+@functools.cache
+def _reference(p, q):
+    return reference.opposite_ramsey_reference(p, q)
+
+
+@pytest.mark.parametrize("p,q", GRID)
+def test_oracle_matches_unbounded_reference(p, q):
+    # the bounded clique search and forward checking prune only subtrees
+    # that cannot lower the running minimum: same r, same first extremal
+    # coloring
+    result = opposite_ramsey_exact(p, q, cap=UNCAPPED)
+    assert (result.r, result.extremal_coloring) == _reference(p, q)
+
+
+@pytest.mark.parametrize("p,q", GRID)
+def test_ramsey_holds_matches_reference(p, q):
+    r, _ = _reference(p, q)
+    for k in range(2, q + 2):
+        assert ramsey_holds(p, k, q, cap=UNCAPPED) == (k <= r)
 
 
 @pytest.mark.parametrize("q", range(2, 7))
