@@ -25,7 +25,6 @@ from .action import (
 from .cliques import (
     BoundCertificate,
     CliqueReport,
-    color_class_adjacency,
     max_clique,
     mono_clique_report,
     opposite_upper_bound,

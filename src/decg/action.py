@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,9 +98,6 @@ class ShiftDistance:
     def is_zero(self) -> bool:
         return self.exponent is None
 
-    def _key(self) -> float:
-        return math.inf if self.exponent is None else self.exponent
-
     def __eq__(self, other):
         if not isinstance(other, ShiftDistance):
             return NotImplemented
@@ -110,7 +106,10 @@ class ShiftDistance:
     def __lt__(self, other):
         if not isinstance(other, ShiftDistance):
             return NotImplemented
-        return self._key() > other._key()
+        # zero is the least distance; otherwise a larger exponent is smaller
+        if other.exponent is None:
+            return False
+        return self.exponent is None or self.exponent > other.exponent
 
     def __hash__(self):
         return hash(("ShiftDistance", self.exponent))

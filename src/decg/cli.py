@@ -2,10 +2,11 @@
 
 Subcommands: color, cliques, opposite, bounds, dimension, probe.  Every
 run emits a manifest (JSON) recording the full parameter set, seeds,
-checksums of inputs and outputs, and wall time; primary outputs are byte
-deterministic given the manifest parameters.  Every command runs in one
-thread: `color` and `cliques` accept --threads and record it in the
-manifest, but it has no effect.
+checksums of inputs and outputs, wall time and, for `opposite`, the
+oracle's search-node count; primary outputs are byte deterministic given
+the manifest parameters.  Every command runs in one thread: `color` and
+`cliques` accept --threads and record it in the manifest, but it has no
+effect.
 
 Exit codes: 0 ok, 2 usage, 3 size cap, 4 I/O, 5 verification failure.
 """
@@ -32,7 +33,7 @@ from .errors import (
     RangeTooSmall,
 )
 from .metric import probe_question
-from .ramsey import bounds_record, opposite_ramsey_exact
+from .ramsey import DEFAULT_ORACLE_CAP, bounds_record, opposite_ramsey_exact
 from .sepset import GrowthSequence, greedy_separated, growth_csv
 
 EXIT_OK = 0
@@ -81,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_opp = sub.add_parser("opposite", help="exact opposite-Ramsey oracle")
     p_opp.add_argument("--p", type=int, required=True)
     p_opp.add_argument("--q", type=int, required=True)
-    p_opp.add_argument("--cap", type=int, default=1 << 26)
+    p_opp.add_argument(
+        "--cap", type=int, default=DEFAULT_ORACLE_CAP, help="budget of search nodes"
+    )
     p_opp.add_argument("--out", default=None)
     p_opp.set_defaults(func=cmd_opposite)
 
@@ -129,7 +132,9 @@ def _decg_checksum(graph) -> str:
     return f"{fnv1a64(end_line, int(body, 16)):016x}"
 
 
-def _write_manifest(args, params: dict, inputs: dict, outputs: dict, started: float) -> None:
+def _write_manifest(
+    args, params: dict, inputs: dict, outputs: dict, started: float, counters: dict | None = None
+) -> None:
     manifest = {
         "tool": "decg",
         "version": __version__,
@@ -139,6 +144,8 @@ def _write_manifest(args, params: dict, inputs: dict, outputs: dict, started: fl
         "outputs": outputs,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
+    if counters is not None:
+        manifest["counters"] = counters
     text = json.dumps(manifest, indent=2) + "\n"
     primary = next((p for p in outputs if p != "<stdout>"), None)
     if primary is None:
@@ -218,7 +225,7 @@ def cmd_opposite(args) -> int:
     result = opposite_ramsey_exact(args.p, args.q, cap=args.cap)
     outputs = _emit(_json_text(result.to_json()), args.out)
     params = {"p": args.p, "q": args.q, "cap": args.cap}
-    _write_manifest(args, params, {}, outputs, started)
+    _write_manifest(args, params, {}, outputs, started, {"oracle_nodes": result.nodes})
     return EXIT_OK
 
 

@@ -17,24 +17,10 @@ from typing import Sequence
 
 from .action import LatticeVector, diff_mask, shift_min_diff, shifted_exponent
 from .colorer import ColoredGraph
-from .errors import CapExceeded, UnknownColor
+from .errors import CapExceeded
 from .sepset import separation_check
 
 DEFAULT_CLIQUE_CAP = 5000
-
-
-def color_class_adjacency(graph: ColoredGraph, color_index: int) -> list[int]:
-    """Bitmask adjacency (one int per vertex) of the edges in one color."""
-    if not 0 <= color_index < len(graph.colors):
-        raise UnknownColor(
-            f"color {color_index} outside palette of {len(graph.colors)}"
-        )
-    masks = [0] * graph.vertex_count
-    for i, j, c, _ in graph.iter_edges():
-        if c == color_index:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    return masks
 
 
 def color_classes(graph: ColoredGraph) -> list[list[int]]:

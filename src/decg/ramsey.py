@@ -2,30 +2,35 @@
 
 The opposite-Ramsey number r(p, q) is the minimum over all p-colorings of
 the edges of K_q of the largest monochromatic clique order.  The oracle
-enumerates colorings as a mixed-radix counter over the edges in (i < j)
-order, with color-relabeling symmetry broken (a fresh color may only be
-introduced as the smallest unused index, which preserves both the minimum
-and the lexicographically first extremal coloring, since relabeling colors
-never changes clique structure and only lowers lexicographic rank).  It
-prunes any prefix that already forces a clique at least as large as the
-running minimum `best`, in two ways:
+is a depth-first search over the edges in (i < j) order, with
+color-relabeling symmetry broken (a fresh color may only be introduced as
+the smallest unused index, which preserves both the minimum and the
+lexicographically first extremal coloring, since relabeling colors never
+changes clique structure and only lowers lexicographic rank).  It prunes
+any prefix that already forces a clique at least as large as the running
+minimum `best`:
 
 - the bounded forced order: the clique search through a new edge only
   looks between the prefix's current order and best, and with best <= 3
   a shared neighbour alone decides;
-- forward checking: a prefix is dropped when some still uncolored edge
-  would close such a clique in every color.
+- propagation: once every color is in use, each assignment recomputes,
+  against best, the colors every still uncolored edge may take.  An edge
+  with none drops the prefix; an edge with one is forced into that class
+  and the recomputation repeats until nothing changes.  The search then
+  tries only the forced color at that edge.
 
 Classes only grow along a prefix and best only falls, so every dropped
-subtree holds only colorings that could not lower best: r and the first
-extremal coloring are those of the unpruned enumeration.  ramsey_holds
-runs the same search with best starting at k.
+subtree and every color a forcing skips holds only colorings that could
+not lower best: r and the first extremal coloring are those of the
+unpruned enumeration.  ramsey_holds runs the same search with best
+starting at k.  `cap` bounds the work, not the input: a search that
+reaches its (cap + 1)-th node raises CapExceeded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cliques as _cliques
@@ -33,7 +38,9 @@ from .colorer import ColoredGraph
 from .errors import CapExceeded, InconsistentCertificate
 from .intlog import floor_ln
 
-DEFAULT_ORACLE_CAP = 1 << 26
+# search nodes; (2, 10) needs 24 755, and (2, 12) reaches this in about
+# 9 s on a 2-core host under CPython 3.11
+DEFAULT_ORACLE_CAP = 100_000
 
 
 def edge_list(q: int) -> tuple[tuple[int, int], ...]:
@@ -47,6 +54,9 @@ class OppositeRamseyResult:
     q: int
     r: int
     extremal_coloring: tuple[int, ...]
+    # search nodes the oracle visited (0 when not built by it): a work
+    # counter for the manifest, not part of the value or of to_json
+    nodes: int = field(default=0, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -56,15 +66,6 @@ class OppositeRamseyResult:
             "extremal_coloring": list(self.extremal_coloring),
             "edge_order": [list(e) for e in edge_list(self.q)],
         }
-
-
-def _check_cap(p: int, q: int, cap: int) -> None:
-    edges = q * (q - 1) // 2
-    nominal = p**edges
-    if nominal > cap:
-        raise CapExceeded(
-            f"{p}^{edges} = {nominal} colorings exceeds enumeration cap {cap}"
-        )
 
 
 def _forced_order(rows, a: int, b: int, cur: int, best: int) -> int:
@@ -82,6 +83,8 @@ def _forced_order(rows, a: int, b: int, cur: int, best: int) -> int:
     if best <= 3:
         return 3
     found = cur - 2
+    if common.bit_count() <= found:  # too few vertices to beat cur
+        return cur
     goal = best - 2
 
     def go(depth: int, p: int) -> bool:
@@ -89,7 +92,10 @@ def _forced_order(rows, a: int, b: int, cur: int, best: int) -> int:
         if p == 0:
             if depth > found:
                 found = depth
-            return found >= goal
+            return False
+        if depth + 1 >= goal:  # any vertex of p completes one
+            found = goal
+            return True
         while p:
             if depth + p.bit_count() <= found:
                 return False
@@ -103,37 +109,73 @@ def _forced_order(rows, a: int, b: int, cur: int, best: int) -> int:
     return 2 + found
 
 
-def _search(p: int, q: int, best: int, stop: int) -> tuple[int, tuple[int, ...] | None]:
+def _search(
+    p: int, q: int, best: int, stop: int, cap: int
+) -> tuple[int, tuple[int, ...] | None, int]:
     """Least largest-monochromatic-clique order below `best` over the
-    p-colorings of K_q, and the first coloring in enumeration order that
-    attains it (None when no coloring goes below `best`).  The search ends
-    as soon as the minimum is at most `stop`.
+    p-colorings of K_q, the first coloring in enumeration order that
+    attains it (None when no coloring goes below `best`), and the number
+    of search nodes visited.  The search ends as soon as the minimum is at
+    most `stop`, and raises CapExceeded on its (cap + 1)-th node.
     """
     edges = edge_list(q)
     total = len(edges)
     adj = [[0] * q for _ in range(p)]
     col = [0] * total
+    forced = [-1] * total  # class a propagation put the edge in, or -1
+    trail: list[int] = []  # forced edges, in forcing order
     best_col = None
+    nodes = 0
 
-    def any_barred(a: int, m: int) -> bool:
-        # some open edge {a, x}, x in m, closes a clique of order >= best
-        # in every color
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
-            for rows in adj:
-                if _forced_order(rows, a, x, best - 1, best) < best:
-                    break
-            else:
-                return True
-            m ^= low
-        return False
+    def propagate(t: int, cur: int) -> int:
+        # Every color is in use, so an open edge may only take a color
+        # whose class it would not close a clique of order >= best in.
+        # An edge with no such color ends the prefix (returns best); an
+        # edge with exactly one is added to that class, its clique folded
+        # into cur.  Passes repeat until one forces nothing.
+        changed = True
+        while changed:
+            changed = False
+            for u in range(t + 1, total):
+                if forced[u] >= 0:
+                    continue
+                a, b = edges[u]
+                only = -1
+                for c in range(p):
+                    if _forced_order(adj[c], a, b, best - 1, best) < best:
+                        if only >= 0:
+                            break
+                        only = c
+                else:
+                    if only < 0:
+                        return best
+                    rows = adj[only]
+                    cur = _forced_order(rows, a, b, cur, best)
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
+                    forced[u] = only
+                    trail.append(u)
+                    changed = True
+        return cur
 
     def rec(t: int, cur: int, used: int):
-        nonlocal best, best_col
+        nonlocal best, best_col, nodes
+        nodes += 1
+        if nodes > cap:
+            raise CapExceeded(f"oracle search exceeds its budget of {cap} nodes")
         if t == total:
             best = cur
             best_col = tuple(col)
+            return
+        c = forced[t]
+        if c >= 0:
+            # Propagation put the edge in class c (c < used == p, so the
+            # symmetry rule holds) and folded its clique into cur.  The
+            # nearest unforced edge above checked cur < best after that,
+            # and no leaf lies between, so best has not fallen since.
+            assert cur < best
+            col[t] = c
+            rec(t + 1, cur, used)
             return
         i, j = edges[t]
         bi, bj = 1 << j, 1 << i
@@ -147,21 +189,24 @@ def _search(p: int, q: int, best: int, stop: int) -> tuple[int, tuple[int, ...] 
             rows[i] |= bi
             rows[j] |= bj
             col[t] = c
-            # Forward check: the new edge only grows the common neighbourhood
-            # in color c of the open edges {i, x} (x a c-neighbour of j) and
-            # {j, x} (x a c-neighbour of i).  An open edge that every color
-            # bars stays barred below, since classes only grow and best only
-            # falls; a color no edge has yet bars nothing.
-            if not (
-                any_barred(i, rows[j] >> (j + 1) << (j + 1))
-                or any_barred(j, rows[i] >> (i + 1) << (i + 1) & ~bi)
-            ):
-                rec(t + 1, new, used if c < used else used + 1)
+            nxt = used if c < used else used + 1
+            mark = len(trail)
+            if nxt == p:
+                new = propagate(t, new)
+            if new < best:
+                rec(t + 1, new, nxt)
+            while len(trail) > mark:
+                u = trail.pop()
+                a, b = edges[u]
+                undo = adj[forced[u]]
+                undo[a] &= ~(1 << b)
+                undo[b] &= ~(1 << a)
+                forced[u] = -1
             rows[i] &= ~bi
             rows[j] &= ~bj
 
     rec(0, 1, 0)
-    return best, best_col
+    return best, best_col, nodes
 
 
 def opposite_ramsey_exact(
@@ -171,17 +216,17 @@ def opposite_ramsey_exact(
 
     The stored extremal coloring attains the minimum: every p-coloring of
     K_q has a monochromatic clique of order r, and this one has none of
-    order r + 1.
+    order r + 1.  Raises CapExceeded when the search needs more than `cap`
+    nodes; `nodes` on the result counts the ones it visited.
     """
     if p < 1:
         raise ValueError("need at least one color")
     if q < 2:
         raise ValueError("need at least two vertices")
-    _check_cap(p, q, cap)
     # every coloring has a monochromatic K_2, so a minimum of 2 is final
-    r, coloring = _search(p, q, q + 1, 2)
+    r, coloring, nodes = _search(p, q, q + 1, 2, cap)
     assert coloring is not None
-    return OppositeRamseyResult(p, q, r, coloring)
+    return OppositeRamseyResult(p, q, r, coloring, nodes)
 
 
 def ramsey_holds(p: int, k: int, q: int, cap: int = DEFAULT_ORACLE_CAP) -> bool:
@@ -189,14 +234,13 @@ def ramsey_holds(p: int, k: int, q: int, cap: int = DEFAULT_ORACLE_CAP) -> bool:
 
     Runs the opposite_ramsey_exact search with the running minimum
     starting at k, and stops at the first coloring with no monochromatic
-    K_k.
+    K_k.  Raises CapExceeded when that takes more than `cap` nodes.
     """
     if p < 1 or q < 2 or k < 1:
         raise ValueError("parameters must satisfy p >= 1, k >= 1, q >= 2")
     if k <= 2:
         return True  # any edge is a monochromatic K_2, and q >= 2 has one
-    _check_cap(p, q, cap)
-    return _search(p, q, k, k - 1)[1] is None
+    return _search(p, q, k, k - 1, cap)[1] is None
 
 
 def verify_extremal(result: OppositeRamseyResult) -> bool:

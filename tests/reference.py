@@ -4,12 +4,20 @@ Most are the cell-by-cell tuple scans that decg ran before configurations
 gained a packed bit-plane form; they share no code with the package's
 masks and scan ranks, so the cross-check tests compare the two.
 `degeneracy_order` is the quadratic rescan that the clique engine ran
-before its bucket queue, and `opposite_ramsey_reference` the enumerator
-the opposite-Ramsey oracle ran before its bounded clique search and
-forward checking.
+before its bucket queue, `color_class_adjacency` the per-color edge scan
+that `color_classes` replaced, and `opposite_ramsey_reference` the
+enumerator the opposite-Ramsey oracle ran before its bounded clique
+search, forward checking and propagation.
 """
 
-from decg import ShiftDistance, ball_vectors, build_color_set, ring_vectors
+from decg import (
+    ColoredGraph,
+    ShiftDistance,
+    UnknownColor,
+    ball_vectors,
+    build_color_set,
+    ring_vectors,
+)
 from decg.ramsey import edge_list
 
 
@@ -116,6 +124,20 @@ def degeneracy_order(masks) -> list[int]:
         order.append(best_v)
         remaining &= ~(1 << best_v)
     return order
+
+
+def color_class_adjacency(graph: ColoredGraph, color_index: int) -> list[int]:
+    """Bitmask adjacency (one int per vertex) of the edges in one color."""
+    if not 0 <= color_index < len(graph.colors):
+        raise UnknownColor(
+            f"color {color_index} outside palette of {len(graph.colors)}"
+        )
+    masks = [0] * graph.vertex_count
+    for i, j, c, _ in graph.iter_edges():
+        if c == color_index:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks
 
 
 def _mask_clique(mask: int, rows) -> int:

@@ -59,6 +59,19 @@ def test_shift_distance_ordering():
         ShiftDistance(-1)
 
 
+def test_shift_distance_order_is_exhaustively_the_stated_one():
+    # ascending: zero, then alpha**-6 < alpha**-5 < ... < alpha**0
+    ascending = [None, 6, 5, 4, 3, 2, 1, 0]
+    for a in ascending:
+        for b in ascending:
+            x, y = ShiftDistance(a), ShiftDistance(b)
+            ra, rb = ascending.index(a), ascending.index(b)
+            assert (x < y) == (ra < rb), (a, b)
+            assert (x == y) == (ra == rb), (a, b)
+            assert (x <= y) == (ra <= rb), (a, b)
+            assert (x > y) == (ra > rb), (a, b)
+
+
 def test_configuration_validation():
     with pytest.raises(ValueError):
         PeriodicConfiguration(0, 2, ())

@@ -208,8 +208,29 @@ def test_opposite_p3_q9_is_pinned(tmp_path):
     assert f"{fnv1a64(out.read_bytes()):016x}" == P3_Q9_FNV
 
 
-def test_opposite_cap_exit_3(tmp_path):
-    assert main(["opposite", "--p", "2", "--q", "12"]) == 3
+def test_opposite_cap_exit_3(tmp_path, capsys):
+    assert main(["opposite", "--p", "2", "--q", "12", "--cap", "1000"]) == 3
+    assert "budget of 1000 nodes" in capsys.readouterr().err
+
+
+# The (3, 9) search visits 488 nodes; a ceiling well above that but far
+# below forward checking alone (245 365) catches a propagation regression.
+ORACLE_NODE_CEILING = 2000
+
+
+def test_opposite_manifest_counts_search_nodes(tmp_path):
+    # no --cap: the default node budget, not the nominal 3^36 colorings,
+    # limits this run, and it writes the pinned bytes
+    counters = []
+    for run in range(2):
+        out = tmp_path / f"o{run}.json"
+        assert main(["opposite", "--p", "3", "--q", "9", "--out", str(out)]) == 0
+        assert f"{fnv1a64(out.read_bytes()):016x}" == P3_Q9_FNV
+        manifest = _validated(tmp_path / f"o{run}.json.manifest.json", "manifest")
+        counters.append(json.dumps(manifest["counters"]).encode())
+    assert counters[0] == counters[1]
+    nodes = json.loads(counters[0])["oracle_nodes"]
+    assert 0 < nodes < ORACLE_NODE_CEILING
 
 
 def test_bounds_output(tmp_path):

@@ -12,7 +12,6 @@ from decg import (
     PeriodicConfiguration,
     ShiftSystem,
     UnknownColor,
-    color_class_adjacency,
     color_graph,
     enumerate_periodic_points,
     greedy_separated,
@@ -152,7 +151,7 @@ def test_color_classes_match_color_class_adjacency(n, max_vertices):
     classes = color_classes(g)
     assert len(classes) == len(g.colors)
     for c, masks in enumerate(classes):
-        assert masks == color_class_adjacency(g, c), c
+        assert masks == reference.color_class_adjacency(g, c), c
 
 
 def _k16():
@@ -163,7 +162,7 @@ def _k16():
 
 def test_color_class_adjacency_recount():
     g = _k16()
-    masks = color_class_adjacency(g, 4)  # color (0, 0)
+    masks = reference.color_class_adjacency(g, 4)  # color (0, 0)
     # independent recount: edges whose endpoints differ at the origin cell
     # and agree on every site of smaller scan rank (none: origin is first)
     for i in range(16):
@@ -176,12 +175,12 @@ def test_color_class_adjacency_trivial():
     x = PeriodicConfiguration.constant(2, 3)
     y = x.with_cell(0, 0, 1)
     g = color_graph(SYSTEM, [x, y], 1)
-    masks = color_class_adjacency(g, g.color_of(0, 1))
+    masks = reference.color_class_adjacency(g, g.color_of(0, 1))
     assert masks == [2, 1]
     absent = (g.color_of(0, 1) + 1) % 9
-    assert color_class_adjacency(g, absent) == [0, 0]
+    assert reference.color_class_adjacency(g, absent) == [0, 0]
     with pytest.raises(UnknownColor):
-        color_class_adjacency(g, 9)
+        reference.color_class_adjacency(g, 9)
 
 
 def test_mono_clique_report_single_edge():

@@ -29,7 +29,7 @@ from decg import (
     sandwich_report,
     verify_extremal,
 )
-from decg.ramsey import bounds_record, edge_list
+from decg.ramsey import DEFAULT_ORACLE_CAP, bounds_record, edge_list
 
 
 def _max_mono_order(q, edges, coloring):
@@ -53,8 +53,7 @@ def _oracle_r(p, q):
     )
 
 
-# The reference enumerator settles this whole grid in well under a second;
-# the nominal p**edges cap would refuse several of its points.
+# The reference enumerator settles this whole grid in well under a second.
 GRID = [(p, q) for p in range(1, 5) for q in range(2, 9)]
 UNCAPPED = 10**30
 
@@ -66,8 +65,8 @@ def _reference(p, q):
 
 @pytest.mark.parametrize("p,q", GRID)
 def test_oracle_matches_unbounded_reference(p, q):
-    # the bounded clique search and forward checking prune only subtrees
-    # that cannot lower the running minimum: same r, same first extremal
+    # the bounded clique search and propagation prune only subtrees that
+    # cannot lower the running minimum: same r, same first extremal
     # coloring
     result = opposite_ramsey_exact(p, q, cap=UNCAPPED)
     assert (result.r, result.extremal_coloring) == _reference(p, q)
@@ -214,10 +213,31 @@ def test_ramsey_holds_basics():
 
 
 def test_oracle_cap():
-    with pytest.raises(CapExceeded):
-        opposite_ramsey_exact(2, 12)
-    with pytest.raises(CapExceeded):
-        ramsey_holds(3, 3, 8)
+    # the cap is a budget of search nodes, not of nominal colorings
+    with pytest.raises(CapExceeded, match="budget of 1000 nodes"):
+        opposite_ramsey_exact(2, 12, cap=1000)
+    with pytest.raises(CapExceeded, match="budget of 10 nodes"):
+        ramsey_holds(3, 3, 8, cap=10)
+    # 2^28 and 3^28 nominal colorings, 75 and 119 search nodes
+    assert opposite_ramsey_exact(2, 8).r == 3
+    assert not ramsey_holds(3, 3, 8)
+
+
+# Taken from the forward-checking search that propagation replaced (23 s
+# there): the lexicographically first 2-coloring of K_10 with no
+# monochromatic K_4.
+P2_Q10_COLORING = (
+    0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1,
+    0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0,
+)
+
+
+def test_p2_q10_is_pinned():
+    result = opposite_ramsey_exact(2, 10)
+    assert result.r == 3
+    assert result.extremal_coloring == P2_Q10_COLORING
+    assert verify_extremal(result)
+    assert result.nodes <= DEFAULT_ORACLE_CAP
 
 
 def test_oracle_validation():
