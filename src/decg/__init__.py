@@ -33,7 +33,6 @@ from .cliques import (
 from .colorer import (
     ColoredGraph,
     ColorSet,
-    build_color_set,
     color_graph,
     decg_dumps,
     fnv1a64,

@@ -62,7 +62,7 @@ def ring_vectors(radius: int) -> Iterator[LatticeVector]:
             yield LatticeVector(a, radius)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def ball_vectors(radius: int) -> tuple[LatticeVector, ...]:
     """All vectors of sup norm <= radius, ring by ring, lexicographic in
     each ring.  This is the scan order used everywhere a deterministic
@@ -333,10 +333,6 @@ class ShiftSystem:
         """The action: apply(v, x) at u equals x at u + v."""
         self.check_point(x)
         return x.translated(v)
-
-    def distance(self, x: PeriodicConfiguration, y: PeriodicConfiguration) -> ShiftDistance:
-        self.check_point(x)
-        return shift_min_diff(x, y)
 
     def distance_at_least(
         self, x: PeriodicConfiguration, y: PeriodicConfiguration, exponent: int

@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .action import ShiftSystem, enumerate_periodic_points, sample_periodic_points
+from .action import ShiftSystem, encode_pattern, enumerate_periodic_points, sample_periodic_points
 from .cliques import mono_clique_report, opposite_upper_bound, revalidate_edges
 from .colorer import color_graph, decg_dumps, fnv1a64, read_decg
 from .errors import (
@@ -30,7 +30,6 @@ from .errors import (
     DecgError,
     InconsistentCertificate,
     NoWitness,
-    RangeTooSmall,
 )
 from .metric import probe_question
 from .ramsey import DEFAULT_ORACLE_CAP, bounds_record, opposite_ramsey_exact
@@ -52,6 +51,12 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decg",
@@ -69,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--max-vertices", type=int, default=None)
     p_color.add_argument("--seed", type=int, default=0)
     p_color.add_argument("--threads", type=int, default=1, help="recorded only; no effect")
-    p_color.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
+    p_color.add_argument("--vertex-cap", type=_positive_int, default=DEFAULT_VERTEX_CAP)
     p_color.add_argument("--out", required=True)
     p_color.set_defaults(func=cmd_color)
 
@@ -83,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opp.add_argument("--p", type=int, required=True)
     p_opp.add_argument("--q", type=int, required=True)
     p_opp.add_argument(
-        "--cap", type=int, default=DEFAULT_ORACLE_CAP, help="budget of search nodes"
+        "--cap", type=_positive_int, default=DEFAULT_ORACLE_CAP, help="budget of search nodes"
     )
     p_opp.add_argument("--out", default=None)
     p_opp.set_defaults(func=cmd_opposite)
@@ -264,8 +269,6 @@ def cmd_probe(args) -> int:
             "threshold_exponent": t,
         }
     else:
-        from .action import encode_pattern
-
         payload = {
             "found": True,
             "n": args.n,
@@ -303,7 +306,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
-    except (ValueError, RangeTooSmall, DecgError) as exc:
+    except (ValueError, DecgError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -218,9 +218,8 @@ def mono_clique_report(graph: ColoredGraph, cap: int = DEFAULT_CLIQUE_CAP) -> Cl
     re-checked to be pairwise separated at the 1/(4*alpha) threshold.
     """
     results = [max_clique(cls, cap) for cls in color_classes(graph)]
-    vectors = graph.colors.vectors
     entries = tuple(
-        ColorCliqueEntry(c, vectors[c], order, tuple(witness))
+        ColorCliqueEntry(c, graph.colors[c], order, tuple(witness))
         for c, (order, witness) in enumerate(results)
     )
     overall = max(e.order for e in entries)
@@ -257,7 +256,7 @@ def revalidate_edges(graph: ColoredGraph):
     # Windows, never the colorer's scan ranks: the check must not repeat
     # the logic it checks.
     t = graph.system.threshold_exponent
-    vectors = graph.colors.vectors
+    vectors = {c: graph.colors[c] for c in graph.colors_used()}
     verts = graph.vertices
     q = graph.vertex_count
     width = verts[0].width

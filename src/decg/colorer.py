@@ -3,13 +3,13 @@
 Every unordered pair of an alpha**-n-separated set is separated to
 1/(4*alpha) by some group element of norm <= n; that element is the edge's
 color.  Colors live in the square window C_n = {v : |v| <= n}, ordered
-row-major from (-n, -n) to (n, n).  Graphs serialize to the DECG text
-format, a line-oriented file with an FNV-1a-64 trailer checksum.
+row-major from (-n, -n) to (n, n) and decoded by arithmetic, never from a
+table.  Graphs serialize to the DECG text format, a line-oriented file
+with an FNV-1a-64 trailer checksum.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,10 +43,27 @@ def fnv1a64(data: bytes, state: int = 0xCBF29CE484222325) -> int:
 
 @dataclass(frozen=True)
 class ColorSet:
-    """The window {v : |v| <= n}, row-major from (-n, -n) to (n, n)."""
+    """The window {v : |v| <= n}, row-major from (-n, -n) to (n, n): color c
+    is divmod(c, 2n+1) - (n, n), so no palette size costs any memory."""
 
     n: int
-    vectors: tuple[LatticeVector, ...]
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("n must be >= 0")
+
+    def __len__(self) -> int:
+        return (2 * self.n + 1) ** 2
+
+    def __getitem__(self, c: int) -> LatticeVector:
+        n, side = self.n, 2 * self.n + 1
+        if not 0 <= c < side * side:
+            raise UnknownColor(f"color index {c} outside palette of {side * side}")
+        x, y = divmod(c, side)
+        return LatticeVector(x - n, y - n)
+
+    def __iter__(self) -> Iterator[LatticeVector]:
+        return map(self.__getitem__, range(len(self)))
 
     def index_of(self, v: LatticeVector) -> int:
         n = self.n
@@ -54,21 +71,6 @@ class ColorSet:
         if max(abs(x), abs(y)) > n:
             raise UnknownColor(f"vector {v} outside |v| <= {n}")
         return (x + n) * (2 * n + 1) + (y + n)
-
-    def __len__(self):
-        return len(self.vectors)
-
-
-@functools.lru_cache(maxsize=None)
-def build_color_set(n: int) -> ColorSet:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    vectors = tuple(
-        LatticeVector(x, y)
-        for x in range(-n, n + 1)
-        for y in range(-n, n + 1)
-    )
-    return ColorSet(n, vectors)
 
 
 @dataclass
@@ -100,7 +102,7 @@ class ColoredGraph:
 
     @property
     def colors(self) -> ColorSet:
-        return build_color_set(self.n)
+        return ColorSet(self.n)
 
     @property
     def vertex_count(self) -> int:
@@ -118,9 +120,6 @@ class ColoredGraph:
 
     def color_of(self, i: int, j: int) -> int:
         return self.edge_colors[self.edge_index(i, j)]
-
-    def color_vector_of(self, i: int, j: int) -> LatticeVector:
-        return self.colors.vectors[self.color_of(i, j)]
 
     def iter_edges(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (i, j, color index, achieved exponent) in storage order."""
@@ -165,7 +164,7 @@ def color_graph(
         raise MismatchedSystems(f"vertices mix periods {sorted(widths)}")
     (width,) = widths
     vectors, runs = scan_ranks(width, n)
-    color_of_rank = [build_color_set(n).index_of(v) for v in vectors]
+    color_of_rank = [ColorSet(n).index_of(v) for v in vectors]
     q = len(points)
     colors: list[int] = []
     columns = list(zip(*(p.planes for p in points)))  # plane j of every vertex
@@ -214,24 +213,19 @@ def decg_dumps(graph: ColoredGraph) -> str:
     ]
     for i, p in enumerate(graph.vertices):
         lines.append(f"v {i} {encode_pattern(p)}")
-    vectors = graph.colors.vectors
+    fields = {c: "{} {} {}".format(c, *graph.colors[c]) for c in graph.colors_used()}
     for i, j, c, e in graph.iter_edges():
-        vx, vy = vectors[c]
-        lines.append(f"e {i} {j} {c} {vx} {vy} {e}")
+        lines.append(f"e {i} {j} {fields[c]} {e}")
     body = "".join(line + "\n" for line in lines)
     checksum = fnv1a64(body.encode("utf-8"))
     graph._checksum = f"{checksum:016x}"
     return body + f"end {graph._checksum}\n"
 
 
-def write_decg(graph: ColoredGraph, destination) -> None:
-    """Write DECG text to a path or binary file object."""
-    data = decg_dumps(graph).encode("utf-8")
-    if hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        with open(destination, "wb") as fh:
-            fh.write(data)
+def write_decg(graph: ColoredGraph, path) -> None:
+    """Write DECG text to a path."""
+    with open(path, "wb") as fh:
+        fh.write(decg_dumps(graph).encode("utf-8"))
 
 
 def _fail(line_no: int, message: str):
@@ -246,17 +240,16 @@ def _header_int(line_no: int, digits: str) -> int:
 
 
 def read_decg(source) -> ColoredGraph:
-    """Parse DECG text from a path, bytes, or binary file object.
+    """Parse DECG text from a path or bytes.
 
     Re-verifies the grammar, the header arithmetic (edge count equals
     q*(q-1)/2, palette size equals (2n+1)**2, color indices match their
-    vectors) and the trailer checksum.  Witness validity is not checked
-    here; `cliques.revalidate_edges` does that.
+    vectors) and the trailer checksum.  Memory grows with the body, never
+    with the header's palette.  Witness validity is not checked here;
+    `cliques.revalidate_edges` does that.
     """
     if isinstance(source, bytes):
         data = source
-    elif hasattr(source, "read"):
-        data = source.read()
     else:
         with open(source, "rb") as fh:
             data = fh.read()
@@ -298,7 +291,8 @@ def read_decg(source) -> ColoredGraph:
     if palette != (2 * n + 1) ** 2:
         _fail(4, f"colors {palette} does not equal (2n+1)^2 = {(2 * n + 1) ** 2}")
 
-    colors = build_color_set(n)
+    colors = ColorSet(n)
+    decoded: dict[int, LatticeVector] = {}  # the colors the body uses
 
     vertices: list[PeriodicConfiguration] = []
     width = None
@@ -342,7 +336,10 @@ def read_decg(source) -> ColoredGraph:
                 _fail(line_no, "non-integer edge fields")
             if not 0 <= c < palette:
                 _fail(line_no, f"color index {c} outside palette of {palette}")
-            if colors.vectors[c] != (vx, vy):
+            v = decoded.get(c)
+            if v is None:
+                v = decoded[c] = colors[c]
+            if v != (vx, vy):
                 _fail(line_no, f"color index {c} does not encode vector ({vx}, {vy})")
             if quality < 0:
                 _fail(line_no, "achieved exponent must be >= 0")

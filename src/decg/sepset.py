@@ -159,6 +159,8 @@ def dimension_sequence(counts: GrowthSequence, alpha: Fraction) -> list[float]:
     if not counts.entries:
         raise ValueError("empty growth sequence")
     alpha = Fraction(alpha)
+    if alpha <= 1:
+        raise ValueError("alpha must exceed 1")
     log_alpha = math.log(alpha.numerator) - math.log(alpha.denominator)
     return [_log_count(c) / (n * log_alpha) for n, c in counts.entries]
 

@@ -3,19 +3,20 @@
 Most are the cell-by-cell tuple scans that decg ran before configurations
 gained a packed bit-plane form; they share no code with the package's
 masks and scan ranks, so the cross-check tests compare the two.
-`degeneracy_order` is the quadratic rescan that the clique engine ran
-before its bucket queue, `color_class_adjacency` the per-color edge scan
-that `color_classes` replaced, and `opposite_ramsey_reference` the
-enumerator the opposite-Ramsey oracle ran before its bounded clique
-search, forward checking and propagation.
+`color_vectors` is the palette table that `ColorSet` indexed before it
+became arithmetic, `degeneracy_order` the quadratic rescan that the
+clique engine ran before its bucket queue, `color_class_adjacency` the
+per-color edge scan that `color_classes` replaced, and
+`opposite_ramsey_reference` the enumerator the opposite-Ramsey oracle ran
+before its bounded clique search, forward checking and propagation.
 """
 
 from decg import (
     ColoredGraph,
+    LatticeVector,
     ShiftDistance,
     UnknownColor,
     ball_vectors,
-    build_color_set,
     ring_vectors,
 )
 from decg.ramsey import edge_list
@@ -76,12 +77,15 @@ def distance_at_least(x, y, exponent: int) -> bool:
     return False
 
 
+def color_vectors(n: int) -> tuple[LatticeVector, ...]:
+    """The palette of C_n as the materialized row-major table."""
+    return tuple(LatticeVector(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1))
+
+
 def scan_table(width: int, n: int) -> list[tuple[int, int]]:
     """(flat cell index, color index) for each ball vector in scan order."""
-    colors = build_color_set(n)
-    return [
-        ((v.x % width) * width + (v.y % width), colors.index_of(v)) for v in ball_vectors(n)
-    ]
+    index = {v: c for c, v in enumerate(color_vectors(n))}
+    return [((v.x % width) * width + (v.y % width), index[v]) for v in ball_vectors(n)]
 
 
 def scan_witness(x, y, table) -> int | None:

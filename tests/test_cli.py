@@ -1,10 +1,16 @@
 """Tests for the batch CLI: exit codes, outputs, manifests, reproducibility."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import decg
 import reference
 from decg import fnv1a64, read_decg
 from decg.cli import main
@@ -25,6 +31,85 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["color", "--k", "2"])  # --n and --out missing
     assert info.value.code == 2
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refusals
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["color", "--k", "2", "--n", "1", "--vertex-cap", "0"], 2),
+        (["color", "--k", "2", "--n", "1", "--vertex-cap", "-1"], 2),
+        (["color", "--k", "2", "--n", "1", "--vertex-cap", "many"], 2),
+        (["color", "--k", "1", "--n", "1"], 2),
+        (["color", "--k", "37", "--n", "1"], 2),
+        (["color", "--k", "2", "--n", "-1"], 2),
+        (["color", "--k", "2", "--n", "1", "--alpha", "1"], 2),
+        (["color", "--k", "2", "--n", "1", "--alpha", "2/0"], 2),
+        (["color", "--k", "2", "--n", "1", "--alpha", "two"], 2),
+        (["color", "--k", "2", "--n", "1", "--max-vertices", "0"], 2),
+        (["cliques", "{tmp}"], 4),
+        (["opposite", "--p", "2", "--q", "3", "--cap", "0"], 2),
+        (["opposite", "--p", "2", "--q", "3", "--cap", "-5"], 2),
+        (["opposite", "--p", "0", "--q", "3"], 2),
+        (["opposite", "--p", "2", "--q", "1"], 2),
+        (["bounds", "--g", "9", "--k", "2", "--c", "1/0"], 2),
+        (["bounds", "--g", "9", "--k", "2", "--c", "-1"], 2),
+        (["bounds", "--g", "0", "--k", "2"], 2),
+        (["dimension", "--k", "2", "--n-max", "0"], 2),
+        (["dimension", "--k", "1", "--n-max", "2"], 2),
+        (["dimension", "--k", "2", "--n-max", "2", "--alpha", "1"], 2),
+        (["dimension", "--k", "2", "--n-max", "2", "--alpha", "1/2"], 2),
+        (["dimension", "--k", "2", "--n-max", "2", "--alpha", "x"], 2),
+        (["probe", "--n", "0"], 2),
+        (["probe", "--n", "1", "--k", "37"], 2),
+        (["probe", "--n", "1", "--alpha", "1"], 2),
+    ],
+)
+def test_malformed_argv_exits_with_its_code(tmp_path, capsys, argv, code):
+    # `cliques` is handed a directory; `color` always gets a fresh --out
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if argv[0] == "color":
+        argv += ["--out", str(tmp_path / "g.decg")]
+    assert _exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert "Traceback" not in err
+
+
+# An 87-byte header whose palette is (2*50000+1)^2 colors; the body is
+# missing.  Decoding colors by arithmetic reads it in constant memory.
+HUGE_PALETTE_HEADER = (
+    b"decg 1\nsystem shift k=2 alpha=2/1\nn 50000\n"
+    b"vertices 2  colors 10000200001  sampled full\n"
+)
+
+
+def _limit_address_space():
+    limit = 512 * 1024 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_cliques_huge_palette_header_exits_5_in_flat_memory(tmp_path):
+    path = tmp_path / "h.decg"
+    path.write_bytes(HUGE_PALETTE_HEADER)
+    assert len(HUGE_PALETTE_HEADER) == 87
+    src = str(Path(decg.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "decg.cli", "cliques", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("error: line 5: ")
 
 
 def test_color_and_cliques_happy_path(tmp_path, capsys):
@@ -128,7 +213,7 @@ def test_cliques_corrupted_edge_exit_5(tmp_path, capsys):
     # substituted witness is genuinely invalid
     target = None
     for i, j, c, _ in graph.iter_edges():
-        for new, v in enumerate(graph.colors.vectors):
+        for new, v in enumerate(graph.colors):
             if graph.vertices[i].at(*v) == graph.vertices[j].at(*v):
                 target = (i, j, c, new, v)
                 break

@@ -237,7 +237,7 @@ def test_revalidate_catches_tampering():
     # point edge 0 at a vector where its endpoints happen to agree
     i, j = 0, 1
     ci, cj = g.vertices[i], g.vertices[j]
-    for c, v in enumerate(g.colors.vectors):
+    for c, v in enumerate(g.colors):
         if ci.at(*v) == cj.at(*v):
             bad_colors[0] = c
             break

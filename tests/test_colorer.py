@@ -1,19 +1,19 @@
 """Tests for the edge colorer and the DECG file format."""
 
-import io
 import random
 
 import pytest
 
+import reference
 from decg import (
     BadFormat,
     ChecksumMismatch,
+    ColorSet,
     LatticeVector,
     NoWitness,
     PeriodicConfiguration,
     ShiftSystem,
     UnknownColor,
-    build_color_set,
     color_graph,
     decg_dumps,
     enumerate_periodic_points,
@@ -45,24 +45,41 @@ def test_fnv1a64_reference_vectors():
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
 
-def test_build_color_set():
-    c0 = build_color_set(0)
-    assert c0.vectors == (LatticeVector(0, 0),)
-    c1 = build_color_set(1)
-    assert len(c1) == 9
-    assert c1.vectors[0] == LatticeVector(-1, -1)
-    assert c1.vectors[-1] == LatticeVector(1, 1)
+@pytest.mark.parametrize("n", range(5))
+def test_color_set_matches_the_materialized_table(n):
+    table = reference.color_vectors(n)
+    colors = ColorSet(n)
+    assert len(colors) == len(table) == (2 * n + 1) ** 2
+    assert tuple(colors) == table
+    for c, v in enumerate(table):
+        assert colors[c] == v
+        assert colors.index_of(v) == c
+    for c in (-1, len(table)):
+        with pytest.raises(UnknownColor):
+            colors[c]
+
+
+def test_color_set_corners_and_centre():
+    c1 = ColorSet(1)
+    assert c1[0] == LatticeVector(-1, -1)
+    assert c1[8] == LatticeVector(1, 1)
     assert c1.index_of(LatticeVector(0, 0)) == 4
-    c2 = build_color_set(2)
-    assert len(c2) == 25
-    assert c2.index_of(LatticeVector(0, 0)) == 12
-    for i, v in enumerate(c2.vectors):
-        assert c2.index_of(v) == i
+    assert ColorSet(2).index_of(LatticeVector(0, 0)) == 12
 
 
 def test_color_set_rejects_outside_vectors():
     with pytest.raises(UnknownColor):
-        build_color_set(1).index_of(LatticeVector(2, 0))
+        ColorSet(1).index_of(LatticeVector(2, 0))
+    with pytest.raises(ValueError):
+        ColorSet(-1)
+
+
+def test_color_set_costs_nothing_at_a_huge_scale():
+    n = 10**9
+    colors = ColorSet(n)
+    last = (2 * n + 1) ** 2 - 1
+    assert colors[last] == LatticeVector(n, n)
+    assert colors.index_of(LatticeVector(-n, n)) == 2 * n
 
 
 def test_single_edge_graph():
@@ -70,7 +87,7 @@ def test_single_edge_graph():
     y = x.with_cell(2, 1, 1)
     g = color_graph(SYSTEM, [x, y], 1)
     assert g.edge_count == 1
-    assert g.color_vector_of(0, 1) == LatticeVector(-1, 1)
+    assert g.colors[g.color_of(0, 1)] == LatticeVector(-1, 1)
     assert g.edge_quality == (0,)
 
 
@@ -84,7 +101,7 @@ def test_mini_pipeline_k16():
     # separates the endpoints maximally
     for i, j, c, quality in g.iter_edges():
         res = find_witness(SYSTEM, g.vertices[i], g.vertices[j], 1)
-        assert g.colors.vectors[c] == res.vector
+        assert g.colors[c] == res.vector
         assert quality == 0
         vi = SYSTEM.apply(res.vector, g.vertices[i])
         vj = SYSTEM.apply(res.vector, g.vertices[j])
@@ -119,7 +136,7 @@ def test_edge_colors_follow_points_not_indices():
         for j in range(i + 1, 40):
             a, b = where[pts[i]], where[pts[j]]
             lo, hi = min(a, b), max(a, b)
-            assert g.color_vector_of(i, j) == h.color_vector_of(lo, hi)
+            assert g.colors[g.color_of(i, j)] == h.colors[h.color_of(lo, hi)]
 
 
 def test_decg_round_trip_single_vertex():
@@ -131,11 +148,11 @@ def test_decg_round_trip_single_vertex():
     assert back.edge_count == 0
 
 
-def test_decg_round_trip_bytes_stable():
+def test_decg_round_trip_bytes_stable(tmp_path):
     g = _graph(2, 1)
-    buf = io.BytesIO()
-    write_decg(g, buf)
-    data = buf.getvalue()
+    path = tmp_path / "g.decg"
+    write_decg(g, path)
+    data = path.read_bytes()
     back = read_decg(data)
     assert decg_dumps(back).encode() == data
     assert back.sampled == "full"

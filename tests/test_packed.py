@@ -119,7 +119,7 @@ def test_revalidate_edges_recomputes_a_non_witness_color():
     e, i, j, c, exponent = next(
         (e, i, j, c, ex)
         for e, (i, j, _, _) in enumerate(graph.iter_edges())
-        for c, v in enumerate(graph.colors.vectors)
+        for c, v in enumerate(graph.colors)
         if (ex := reference.revalidation_exponent(points[i], points[j], v)) > 0
     )
 

@@ -127,6 +127,12 @@ def test_dimension_sequence_plain_integers():
     assert terms[2] == pytest.approx(49 / 3, abs=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [Fraction(1), Fraction(1, 2)])
+def test_dimension_sequence_rejects_alpha_at_most_1(alpha):
+    with pytest.raises(ValueError, match="alpha must exceed 1"):
+        dimension_sequence(GrowthSequence.shift_closed_form(2, 2), alpha)
+
+
 def test_superpoly_exponential_ratio():
     seq = GrowthSequence.shift_closed_form(2, 6)
     report = superpoly_check(seq, "exponential-ratio", 1024, n0=2)
