@@ -22,7 +22,8 @@ from fractions import Fraction
 from . import __version__
 from .action import ShiftSystem, encode_pattern, enumerate_periodic_points, sample_periodic_points
 from .cliques import mono_clique_report, opposite_upper_bound, revalidate_edges
-from .colorer import color_graph, decg_dumps, fnv1a64, read_decg
+from .colorer import decg_dumps  # noqa: F401  perfbench/tracer.py rebinds it by this name
+from .colorer import color_graph, fnv1a64, read_decg, write_decg
 from .errors import (
     BadFormat,
     CapExceeded,
@@ -131,7 +132,7 @@ def _emit(text: str, out_path: str | None, checksum: str | None = None) -> dict[
 
 def _decg_checksum(graph) -> str:
     """Whole-file checksum of a graph's DECG text: the body hash that
-    decg_dumps or read_decg holds, continued over the end line."""
+    write_decg or read_decg holds, continued over the end line."""
     body = graph.checksum_hex()
     end_line = f"end {body}\n".encode("ascii")
     return f"{fnv1a64(end_line, int(body, 16)):016x}"
@@ -190,7 +191,8 @@ def cmd_color(args) -> int:
         sampled = f"subsampled seed={args.seed}"
     vertices = greedy_separated(system, stream, system.epsilon(args.n), universe)
     graph = color_graph(system, vertices, args.n, sampled=sampled)
-    outputs = _emit(decg_dumps(graph), args.out, _decg_checksum(graph))
+    write_decg(graph, args.out)
+    outputs = {args.out: _decg_checksum(graph)}
     params = {
         "system": "shift",
         "k": args.k,
@@ -248,6 +250,7 @@ def cmd_dimension(args) -> int:
     if args.n_max < 1:
         sys.stderr.write("error: --n-max must be >= 1\n")
         return EXIT_USAGE
+    ShiftSystem(alphabet_size=args.k, alpha=args.alpha)  # refuses k and alpha as color does
     seq = GrowthSequence.shift_closed_form(args.k, args.n_max)
     outputs = _emit(growth_csv(seq, args.alpha), args.out)
     params = {"k": args.k, "n_max": args.n_max, "alpha": str(args.alpha)}

@@ -23,10 +23,11 @@ from .sepset import separation_check
 DEFAULT_CLIQUE_CAP = 5000
 
 
-def color_classes(graph: ColoredGraph) -> list[list[int]]:
-    """Adjacency bitmasks of every color class in one pass."""
+def color_classes(graph: ColoredGraph) -> dict[int, list[int]]:
+    """Adjacency bitmasks of every color class the graph uses, by color
+    index in ascending order, in one pass.  An unused color has no entry."""
     q = graph.vertex_count
-    classes = [[0] * q for _ in range(len(graph.colors))]
+    classes = {c: [0] * q for c in sorted(graph.colors_used())}
     colors = graph.edge_colors
     end = 0
     for i in range(q):
@@ -212,16 +213,18 @@ class CliqueReport:
 
 
 def mono_clique_report(graph: ColoredGraph, cap: int = DEFAULT_CLIQUE_CAP) -> CliqueReport:
-    """Run max_clique on every color class and certify the winner.
+    """Run max_clique on every used color class and certify the winner.
 
     The winning clique's image under the winning color's shift is
     re-checked to be pairwise separated at the 1/(4*alpha) threshold.
     """
-    results = [max_clique(cls, cap) for cls in color_classes(graph)]
-    entries = tuple(
-        ColorCliqueEntry(c, graph.colors[c], order, tuple(witness))
-        for c, (order, witness) in enumerate(results)
-    )
+    classes = color_classes(graph)
+    entries = []
+    for c in range(len(graph.colors)):
+        # An unused color's class has no edges: max_clique gives it order 1
+        # and witness [0], so it needs neither masks nor a search.
+        order, witness = max_clique(classes[c], cap) if c in classes else (1, [0])
+        entries.append(ColorCliqueEntry(c, graph.colors[c], order, tuple(witness)))
     overall = max(e.order for e in entries)
     winner = next(e for e in entries if e.order == overall)
     system = graph.system
@@ -235,7 +238,7 @@ def mono_clique_report(graph: ColoredGraph, cap: int = DEFAULT_CLIQUE_CAP) -> Cl
                 smallest = d
     attained = smallest.exponent if smallest is not None else None
     return CliqueReport(
-        colors=entries,
+        colors=tuple(entries),
         overall_max=overall,
         winning_color=winner.index,
         threshold_exponent=system.threshold_exponent,

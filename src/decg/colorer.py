@@ -10,6 +10,7 @@ with an FNV-1a-64 trailer checksum.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,11 +29,12 @@ from .errors import BadFormat, ChecksumMismatch, MismatchedSystems, NoWitness, U
 from .sepset import SeparatedSet
 
 _MASK64 = (1 << 64) - 1
+_FNV_OFFSET = 0xCBF29CE484222325
 
 DECG_VERSION = 1
 
 
-def fnv1a64(data: bytes, state: int = 0xCBF29CE484222325) -> int:
+def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
     """FNV-1a, 64-bit; given a prefix's hash as `state`, continues that hash over `data`."""
     h = state
     for b in data:
@@ -135,7 +137,8 @@ class ColoredGraph:
 
     def checksum_hex(self) -> str:
         if self._checksum is None:
-            decg_dumps(self)  # sets the cache
+            for _ in _signed_pieces(self):  # hashes the text one row at a time; sets the cache
+                pass
         assert self._checksum is not None
         return self._checksum
 
@@ -198,34 +201,56 @@ _HEADER4_RE = re.compile(
     r"^vertices (\d+)  colors (\d+)  sampled (full|subsampled seed=\d+)$"
 )
 _SYSTEM_RE = re.compile(r"^system shift k=(\d+) alpha=(\d+)/(\d+)$")
+_END_RE = re.compile(r"end [0-9a-f]{16}")
+
+
+def _body_pieces(graph: ColoredGraph) -> Iterator[bytes]:
+    """The DECG text before the end line, as UTF-8 pieces: the header and
+    vertex lines, then one piece per row i holding the edges (i, i+1..q-1)."""
+    a = graph.system.alpha
+    head = [
+        f"decg {DECG_VERSION}",
+        f"system shift k={graph.system.alphabet_size} alpha={a.numerator}/{a.denominator}",
+        f"n {graph.n}",
+        f"vertices {graph.vertex_count}  colors {len(graph.colors)}  sampled {graph.sampled}",
+    ]
+    head += [f"v {i} {encode_pattern(p)}" for i, p in enumerate(graph.vertices)]
+    yield "".join(line + "\n" for line in head).encode("utf-8")
+    fields = {c: "{} {} {}".format(c, *graph.colors[c]) for c in graph.colors_used()}
+    colors, quality = graph.edge_colors, graph.edge_quality
+    q = graph.vertex_count
+    end = 0
+    for i in range(q - 1):
+        start, end = end, end + q - 1 - i
+        yield "".join(
+            f"e {i} {j} {fields[c]} {e}\n"
+            for j, c, e in zip(range(i + 1, q), colors[start:end], quality[start:end])
+        ).encode("utf-8")
+
+
+def _signed_pieces(graph: ColoredGraph) -> Iterator[bytes]:
+    """The body pieces, each hashed as it passes, then the end line; caches
+    the body checksum on the graph."""
+    h = _FNV_OFFSET
+    for piece in _body_pieces(graph):
+        h = fnv1a64(piece, h)
+        yield piece
+    graph._checksum = f"{h:016x}"
+    yield f"end {graph._checksum}\n".encode("ascii")
 
 
 def decg_dumps(graph: ColoredGraph) -> str:
     """Serialize to DECG text, version 1.  Bit-exact: one `v` line per
     vertex, one `e` line per pair (i < j ascending), LF line endings, and
     an FNV-1a-64 checksum of every preceding line (newlines included)."""
-    a = graph.system.alpha
-    lines = [
-        f"decg {DECG_VERSION}",
-        f"system shift k={graph.system.alphabet_size} alpha={a.numerator}/{a.denominator}",
-        f"n {graph.n}",
-        f"vertices {graph.vertex_count}  colors {len(graph.colors)}  sampled {graph.sampled}",
-    ]
-    for i, p in enumerate(graph.vertices):
-        lines.append(f"v {i} {encode_pattern(p)}")
-    fields = {c: "{} {} {}".format(c, *graph.colors[c]) for c in graph.colors_used()}
-    for i, j, c, e in graph.iter_edges():
-        lines.append(f"e {i} {j} {fields[c]} {e}")
-    body = "".join(line + "\n" for line in lines)
-    checksum = fnv1a64(body.encode("utf-8"))
-    graph._checksum = f"{checksum:016x}"
-    return body + f"end {graph._checksum}\n"
+    return b"".join(_signed_pieces(graph)).decode("utf-8")
 
 
 def write_decg(graph: ColoredGraph, path) -> None:
-    """Write DECG text to a path."""
+    """Write the DECG text of `decg_dumps` to a path, one row at a time,
+    so memory stays flat in the file size."""
     with open(path, "wb") as fh:
-        fh.write(decg_dumps(graph).encode("utf-8"))
+        fh.writelines(_signed_pieces(graph))
 
 
 def _fail(line_no: int, message: str):
@@ -239,36 +264,104 @@ def _header_int(line_no: int, digits: str) -> int:
         _fail(line_no, str(exc))
 
 
+def _line_text(line_no: int, raw: bytes) -> str:
+    """A line as read, without its newline, decoded.  End of file, a
+    missing final newline and non-UTF-8 bytes fail at `line_no`."""
+    if not raw.endswith(b"\n"):
+        _fail(line_no, "file truncated: missing final newline" if raw else "file truncated")
+    try:
+        return raw[:-1].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadFormat(line_no, f"not UTF-8: {exc}") from None
+
+
+def _edge_fields(line_no: int, raw: bytes, i: int, j: int, colors: ColorSet) -> tuple[int, int]:
+    """(color index, achieved exponent) of edge line (i, j), fully checked."""
+    parts = _line_text(line_no, raw).split(" ")
+    if len(parts) != 7 or parts[0] != "e":
+        _fail(line_no, "malformed edge line")
+    if parts[1] != str(i) or parts[2] != str(j):
+        _fail(line_no, f"edge ({parts[1]}, {parts[2]}) out of order, expected ({i}, {j})")
+    try:
+        c = int(parts[3])
+        vx, vy = int(parts[4]), int(parts[5])
+        quality = int(parts[6])
+    except ValueError:
+        _fail(line_no, "non-integer edge fields")
+    palette = len(colors)
+    if not 0 <= c < palette:
+        _fail(line_no, f"color index {c} outside palette of {palette}")
+    if colors[c] != (vx, vy):
+        _fail(line_no, f"color index {c} does not encode vector ({vx}, {vy})")
+    if quality < 0:
+        _fail(line_no, "achieved exponent must be >= 0")
+    return c, quality
+
+
+# Edge-line tails ("c vx vy quality\n") the reader remembers as checked.  An
+# honest file has one per color used; the cap bounds what a hostile file
+# with a distinct tail on every line can make the reader hold.
+_CHECKED_TAILS_CAP = 1 << 12
+
+
+def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[tuple, tuple, int]:
+    """The edge lines of a q-vertex body, checked and hashed one row at a
+    time: (colors, achieved exponents, the hash continued from `state`).
+
+    An edge line whose prefix is "e i j " and whose tail was already
+    checked on an earlier line passes the same checks, so it skips them.
+    """
+    checked: dict[bytes, tuple[int, int]] = {}
+    edge_colors: list[int] = []
+    edge_quality: list[int] = []
+    readline = fh.readline
+    line_no = 4 + q
+    for i in range(q - 1):
+        row: list[bytes] = []
+        for j in range(i + 1, q):
+            line_no += 1
+            raw = readline()
+            prefix = b"e %d %d " % (i, j)
+            fields = checked.get(raw[len(prefix) :]) if raw.startswith(prefix) else None
+            if fields is None:
+                fields = _edge_fields(line_no, raw, i, j, colors)
+                if len(checked) < _CHECKED_TAILS_CAP:
+                    checked[raw[len(prefix) :]] = fields
+            edge_colors.append(fields[0])
+            edge_quality.append(fields[1])
+            row.append(raw)
+        state = fnv1a64(b"".join(row), state)
+    edge_colors = tuple(edge_colors)  # rebound, so each list is freed once copied
+    return edge_colors, tuple(edge_quality), state
+
+
 def read_decg(source) -> ColoredGraph:
     """Parse DECG text from a path or bytes.
 
     Re-verifies the grammar, the header arithmetic (edge count equals
     q*(q-1)/2, palette size equals (2n+1)**2, color indices match their
-    vectors) and the trailer checksum.  Memory grows with the body, never
-    with the header's palette.  Witness validity is not checked here;
+    vectors) and the trailer checksum.  Lines are read and hashed one row
+    at a time, so memory grows with the edge count, never with the text
+    or the header's palette.  Witness validity is not checked here;
     `cliques.revalidate_edges` does that.
     """
     if isinstance(source, bytes):
-        data = source
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise BadFormat(0, f"not UTF-8: {exc}") from None
-    if not text.endswith("\n"):
-        _fail(text.count("\n") + 1, "file truncated: missing final newline")
-    lines = text.split("\n")[:-1]
+        return _read_lines(io.BytesIO(source))
+    with open(source, "rb") as fh:
+        return _read_lines(fh)
 
-    def need(idx: int) -> str:
-        if idx >= len(lines):
-            _fail(len(lines) + 1, "file truncated")
-        return lines[idx]
 
-    if need(0) != f"decg {DECG_VERSION}":
+def _read_lines(fh) -> ColoredGraph:
+    head: list[bytes] = []  # header and vertex lines, hashed as one piece
+
+    def line(line_no: int) -> str:
+        raw = fh.readline()
+        head.append(raw)
+        return _line_text(line_no, raw)
+
+    if line(1) != f"decg {DECG_VERSION}":
         _fail(1, f"expected 'decg {DECG_VERSION}' header")
-    m = _SYSTEM_RE.match(need(1))
+    m = _SYSTEM_RE.match(line(2))
     if m is None:
         _fail(2, "malformed system line")
     try:
@@ -276,11 +369,11 @@ def read_decg(source) -> ColoredGraph:
         system = ShiftSystem(alphabet_size=k, alpha=Fraction(int(m.group(2)), int(m.group(3))))
     except (ValueError, ZeroDivisionError) as exc:
         _fail(2, f"bad system parameters: {exc}")
-    line3 = need(2)
+    line3 = line(3)
     if not line3.startswith("n ") or not line3[2:].isdigit():
         _fail(3, "malformed n line")
     n = _header_int(3, line3[2:])
-    m4 = _HEADER4_RE.match(need(3))
+    m4 = _HEADER4_RE.match(line(4))
     if m4 is None:
         _fail(4, "malformed vertices/colors/sampled line")
     q = _header_int(4, m4.group(1))
@@ -290,15 +383,14 @@ def read_decg(source) -> ColoredGraph:
         _fail(4, "vertex count must be positive")
     if palette != (2 * n + 1) ** 2:
         _fail(4, f"colors {palette} does not equal (2n+1)^2 = {(2 * n + 1) ** 2}")
-
     colors = ColorSet(n)
-    decoded: dict[int, LatticeVector] = {}  # the colors the body uses
 
+    # q is untrusted until its vertex lines have been read: nothing is sized by it.
     vertices: list[PeriodicConfiguration] = []
     width = None
     for i in range(q):
         line_no = 5 + i
-        parts = need(4 + i).split(" ")
+        parts = line(line_no).split(" ")
         if len(parts) != 3 or parts[0] != "v":
             _fail(line_no, "malformed vertex line")
         if parts[1] != str(i):
@@ -314,47 +406,15 @@ def read_decg(source) -> ColoredGraph:
         elif p.width != width:
             _fail(line_no, f"vertex period {p.width} differs from {width}")
         vertices.append(p)
+    edge_colors, edge_quality, state = _read_edges(fh, q, colors, fnv1a64(b"".join(head)))
 
-    edge_total = q * (q - 1) // 2
-    edge_colors: list[int] = []
-    edge_quality: list[int] = []
-    base = 4 + q
-    e = 0
-    for i in range(q):
-        for j in range(i + 1, q):
-            line_no = base + e + 1
-            parts = need(base + e).split(" ")
-            if len(parts) != 7 or parts[0] != "e":
-                _fail(line_no, "malformed edge line")
-            if parts[1] != str(i) or parts[2] != str(j):
-                _fail(line_no, f"edge ({parts[1]}, {parts[2]}) out of order, expected ({i}, {j})")
-            try:
-                c = int(parts[3])
-                vx, vy = int(parts[4]), int(parts[5])
-                quality = int(parts[6])
-            except ValueError:
-                _fail(line_no, "non-integer edge fields")
-            if not 0 <= c < palette:
-                _fail(line_no, f"color index {c} outside palette of {palette}")
-            v = decoded.get(c)
-            if v is None:
-                v = decoded[c] = colors[c]
-            if v != (vx, vy):
-                _fail(line_no, f"color index {c} does not encode vector ({vx}, {vy})")
-            if quality < 0:
-                _fail(line_no, "achieved exponent must be >= 0")
-            edge_colors.append(c)
-            edge_quality.append(quality)
-            e += 1
-
-    end_no = base + edge_total + 1
-    end_line = need(base + edge_total)
-    if not re.fullmatch(r"end [0-9a-f]{16}", end_line):
+    end_no = 5 + q + q * (q - 1) // 2
+    end_line = _line_text(end_no, fh.readline())
+    if not _END_RE.fullmatch(end_line):
         _fail(end_no, "malformed end line")
-    if len(lines) != base + edge_total + 1:
+    if fh.read(1):
         _fail(end_no + 1, "trailing content after end line")
-    # The end line is ASCII: the body is every byte before it and its newline.
-    actual = f"{fnv1a64(data[: len(data) - len(end_line) - 1]):016x}"
+    actual = f"{state:016x}"
     stored = end_line[4:]
     if actual != stored:
         raise ChecksumMismatch(f"stored checksum {stored}, recomputed {actual}")
@@ -363,8 +423,8 @@ def read_decg(source) -> ColoredGraph:
         system=system,
         n=n,
         vertices=tuple(vertices),
-        edge_colors=tuple(edge_colors),
-        edge_quality=tuple(edge_quality),
+        edge_colors=edge_colors,
+        edge_quality=edge_quality,
         sampled=sampled,
         _checksum=stored,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .action import ShiftDistance, ShiftSystem
+from .action import ORIGIN, ShiftDistance, ShiftSystem, diff_mask, window_mask
 from .errors import RangeTooSmall
 from .intlog import ceil_exp, floor_ln
 
@@ -60,11 +60,22 @@ def greedy_separated(
     was within < epsilon of some kept point.  Stream order decides which
     member of each cluster survives, so the output is deterministic for a
     deterministic stream.
+
+    Two points are closer than alpha**-e iff they agree on the radius-e
+    window, an equivalence, so a point is kept iff its bit-planes masked to
+    that window are new: one set lookup per point, not one test per kept one.
     """
     e = _positive_exponent(epsilon)
     kept: list = []
+    seen: set[tuple[int, ...]] = set()
     for p in points:
-        if all(system.distance_at_least(p, q, e) for q in kept):
+        if kept:
+            diff_mask(p, kept[0])  # raises MismatchedSystems for a point of another shift
+        else:
+            window = window_mask(p.width, ORIGIN, e)
+        key = tuple(plane & window for plane in p.planes)
+        if key not in seen:
+            seen.add(key)
             kept.append(p)
     return SeparatedSet(tuple(kept), epsilon, universe)
 

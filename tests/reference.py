@@ -9,14 +9,26 @@ clique engine ran before its bucket queue, `color_class_adjacency` the
 per-color edge scan that `color_classes` replaced, and
 `opposite_ramsey_reference` the enumerator the opposite-Ramsey oracle ran
 before its bounded clique search, forward checking and propagation.
+`greedy_separated` is the pairwise first-fit loop that the keyed greedy
+replaced, and `read_decg` the whole-text DECG v1 reader that the streaming
+one replaced.
 """
 
+import re
+from fractions import Fraction
+
 from decg import (
+    BadFormat,
+    ChecksumMismatch,
     ColoredGraph,
+    ColorSet,
     LatticeVector,
+    PeriodicConfiguration,
     ShiftDistance,
+    ShiftSystem,
     UnknownColor,
     ball_vectors,
+    parse_pattern,
     ring_vectors,
 )
 from decg.ramsey import edge_list
@@ -75,6 +87,15 @@ def distance_at_least(x, y, exponent: int) -> bool:
         if cx[idx] != cy[idx]:
             return True
     return False
+
+
+def greedy_separated(system, points, exponent: int) -> list:
+    """First-fit greedy by one pairwise distance test against every kept point."""
+    kept = []
+    for p in points:
+        if all(system.distance_at_least(p, q, exponent) for q in kept):
+            kept.append(p)
+    return kept
 
 
 def color_vectors(n: int) -> tuple[LatticeVector, ...]:
@@ -209,3 +230,153 @@ def opposite_ramsey_reference(p: int, q: int) -> tuple[int, tuple[int, ...]]:
 
     rec(0, 1, 0)
     return best, best_col
+
+
+# --- the DECG v1 reader before it streamed -------------------------------------
+
+DECG_VERSION = 1
+SYSTEM_RE = re.compile(r"^system shift k=(\d+) alpha=(\d+)/(\d+)$")
+HEADER4_RE = re.compile(r"^vertices (\d+)  colors (\d+)  sampled (full|subsampled seed=\d+)$")
+
+
+def fail(line_no: int, message: str):
+    raise BadFormat(line_no, message)
+
+
+def header_int(line_no: int, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:
+        fail(line_no, str(exc))
+
+
+def read_decg(source) -> ColoredGraph:
+    """Parse DECG text from a path or bytes, holding the whole text and its
+    list of lines at once.
+
+    Re-verifies the grammar, the header arithmetic (edge count equals
+    q*(q-1)/2, palette size equals (2n+1)**2, color indices match their
+    vectors) and the trailer checksum.  Memory grows with the body, never
+    with the header's palette.  Witness validity is not checked here;
+    `cliques.revalidate_edges` does that.
+    """
+    if isinstance(source, bytes):
+        data = source
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadFormat(0, f"not UTF-8: {exc}") from None
+    if not text.endswith("\n"):
+        fail(text.count("\n") + 1, "file truncated: missing final newline")
+    lines = text.split("\n")[:-1]
+
+    def need(idx: int) -> str:
+        if idx >= len(lines):
+            fail(len(lines) + 1, "file truncated")
+        return lines[idx]
+
+    if need(0) != f"decg {DECG_VERSION}":
+        fail(1, f"expected 'decg {DECG_VERSION}' header")
+    m = SYSTEM_RE.match(need(1))
+    if m is None:
+        fail(2, "malformed system line")
+    try:
+        k = int(m.group(1))
+        system = ShiftSystem(alphabet_size=k, alpha=Fraction(int(m.group(2)), int(m.group(3))))
+    except (ValueError, ZeroDivisionError) as exc:
+        fail(2, f"bad system parameters: {exc}")
+    line3 = need(2)
+    if not line3.startswith("n ") or not line3[2:].isdigit():
+        fail(3, "malformed n line")
+    n = header_int(3, line3[2:])
+    m4 = HEADER4_RE.match(need(3))
+    if m4 is None:
+        fail(4, "malformed vertices/colors/sampled line")
+    q = header_int(4, m4.group(1))
+    palette = header_int(4, m4.group(2))
+    sampled = m4.group(3)
+    if q < 1:
+        fail(4, "vertex count must be positive")
+    if palette != (2 * n + 1) ** 2:
+        fail(4, f"colors {palette} does not equal (2n+1)^2 = {(2 * n + 1) ** 2}")
+
+    colors = ColorSet(n)
+    decoded: dict[int, LatticeVector] = {}  # the colors the body uses
+
+    vertices: list[PeriodicConfiguration] = []
+    width = None
+    for i in range(q):
+        line_no = 5 + i
+        parts = need(4 + i).split(" ")
+        if len(parts) != 3 or parts[0] != "v":
+            fail(line_no, "malformed vertex line")
+        if parts[1] != str(i):
+            fail(line_no, f"vertex index {parts[1]} out of order, expected {i}")
+        try:
+            p = parse_pattern(parts[2])
+        except ValueError as exc:
+            fail(line_no, str(exc))
+        if p.alphabet_size != k:
+            fail(line_no, f"vertex alphabet {p.alphabet_size} does not match header k={k}")
+        if width is None:
+            width = p.width
+        elif p.width != width:
+            fail(line_no, f"vertex period {p.width} differs from {width}")
+        vertices.append(p)
+
+    edge_total = q * (q - 1) // 2
+    edge_colors: list[int] = []
+    edge_quality: list[int] = []
+    base = 4 + q
+    e = 0
+    for i in range(q):
+        for j in range(i + 1, q):
+            line_no = base + e + 1
+            parts = need(base + e).split(" ")
+            if len(parts) != 7 or parts[0] != "e":
+                fail(line_no, "malformed edge line")
+            if parts[1] != str(i) or parts[2] != str(j):
+                fail(line_no, f"edge ({parts[1]}, {parts[2]}) out of order, expected ({i}, {j})")
+            try:
+                c = int(parts[3])
+                vx, vy = int(parts[4]), int(parts[5])
+                quality = int(parts[6])
+            except ValueError:
+                fail(line_no, "non-integer edge fields")
+            if not 0 <= c < palette:
+                fail(line_no, f"color index {c} outside palette of {palette}")
+            v = decoded.get(c)
+            if v is None:
+                v = decoded[c] = colors[c]
+            if v != (vx, vy):
+                fail(line_no, f"color index {c} does not encode vector ({vx}, {vy})")
+            if quality < 0:
+                fail(line_no, "achieved exponent must be >= 0")
+            edge_colors.append(c)
+            edge_quality.append(quality)
+            e += 1
+
+    end_no = base + edge_total + 1
+    end_line = need(base + edge_total)
+    if not re.fullmatch(r"end [0-9a-f]{16}", end_line):
+        fail(end_no, "malformed end line")
+    if len(lines) != base + edge_total + 1:
+        fail(end_no + 1, "trailing content after end line")
+    # The end line is ASCII: the body is every byte before it and its newline.
+    actual = f"{fnv1a64(data[: len(data) - len(end_line) - 1]):016x}"
+    stored = end_line[4:]
+    if actual != stored:
+        raise ChecksumMismatch(f"stored checksum {stored}, recomputed {actual}")
+
+    return ColoredGraph(
+        system=system,
+        n=n,
+        vertices=tuple(vertices),
+        edge_colors=tuple(edge_colors),
+        edge_quality=tuple(edge_quality),
+        sampled=sampled,
+        _checksum=stored,
+    )

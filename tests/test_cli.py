@@ -63,6 +63,7 @@ def _exit_code(argv) -> int:
         (["bounds", "--g", "0", "--k", "2"], 2),
         (["dimension", "--k", "2", "--n-max", "0"], 2),
         (["dimension", "--k", "1", "--n-max", "2"], 2),
+        (["dimension", "--k", "37", "--n-max", "2"], 2),
         (["dimension", "--k", "2", "--n-max", "2", "--alpha", "1"], 2),
         (["dimension", "--k", "2", "--n-max", "2", "--alpha", "1/2"], 2),
         (["dimension", "--k", "2", "--n-max", "2", "--alpha", "x"], 2),

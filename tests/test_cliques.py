@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import random
 
 import pytest
@@ -13,11 +14,14 @@ from decg import (
     ShiftSystem,
     UnknownColor,
     color_graph,
+    decg_dumps,
     enumerate_periodic_points,
+    fnv1a64,
     greedy_separated,
     max_clique,
     mono_clique_report,
     opposite_upper_bound,
+    read_decg,
     revalidate_edges,
     sample_periodic_points,
     separation_check,
@@ -141,7 +145,7 @@ def _shift_graph(n, max_vertices=None):
 def test_degeneracy_order_matches_reference_on_color_classes(n, max_vertices):
     g = _shift_graph(n, max_vertices)
     assert g.vertex_count == (512 if max_vertices is None else max_vertices)
-    for c, masks in enumerate(color_classes(g)):
+    for c, masks in color_classes(g).items():
         assert _degeneracy_order(masks) == reference.degeneracy_order(masks), c
 
 
@@ -149,8 +153,9 @@ def test_degeneracy_order_matches_reference_on_color_classes(n, max_vertices):
 def test_color_classes_match_color_class_adjacency(n, max_vertices):
     g = _shift_graph(n, max_vertices)
     classes = color_classes(g)
-    assert len(classes) == len(g.colors)
-    for c, masks in enumerate(classes):
+    assert list(classes) == sorted(g.colors_used())
+    for c in range(len(g.colors)):  # an unused color has no entry and no edges
+        masks = classes.get(c, [0] * g.vertex_count)
         assert masks == reference.color_class_adjacency(g, c), c
 
 
@@ -190,6 +195,32 @@ def test_mono_clique_report_single_edge():
     report = mono_clique_report(g)
     assert report.overall_max == 2
     assert report.separation_passed
+
+
+@pytest.mark.parametrize("q", [1, 2, 5])
+def test_unused_color_entry_is_max_clique_of_an_empty_class(q):
+    g = color_graph(SYSTEM, sample_periodic_points(2, 5, q, seed=3), 2)
+    unused = set(range(len(g.colors))) - g.colors_used()
+    assert unused
+    empty = max_clique([0] * q)
+    assert empty == (1, [0])
+    for entry in mono_clique_report(g).colors:
+        if entry.index in unused:
+            assert (entry.order, list(entry.witness)) == empty
+
+
+def test_small_graph_with_large_palette_keeps_its_report():
+    # 4 vertices at n = 40: two of the 6561 colors are used, and every
+    # unused one still gets its report entry without a search
+    pts = sample_periodic_points(2, 3, 4, seed=1)
+    g = read_decg(decg_dumps(color_graph(SYSTEM, pts, 40)).encode())
+    assert len(g.colors) == 6561 and len(g.colors_used()) == 2
+    report = mono_clique_report(g)
+    for entry in report.colors:
+        adjacency = reference.color_class_adjacency(g, entry.index)
+        assert (entry.order, list(entry.witness)) == max_clique(adjacency), entry.index
+    text = json.dumps(report.to_json(), indent=2) + "\n"
+    assert f"{fnv1a64(text.encode()):016x}" == "d0a3b268a79e51b0"
 
 
 def test_mono_clique_report_k16():

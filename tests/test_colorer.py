@@ -1,13 +1,18 @@
 """Tests for the edge colorer and the DECG file format."""
 
+import gc
 import random
+import tracemalloc
+import zlib
 
 import pytest
 
 import reference
+from decg import colorer
 from decg import (
     BadFormat,
     ChecksumMismatch,
+    ColoredGraph,
     ColorSet,
     LatticeVector,
     NoWitness,
@@ -219,3 +224,83 @@ def test_decg_bad_header():
     with pytest.raises(BadFormat) as info:
         read_decg(b"decg 2\n")
     assert info.value.line_no == 1
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        color_graph(SYSTEM, [PeriodicConfiguration.constant(2, 3)], 1),
+        _graph(2, 1),
+        _graph(3, 1, count=30),
+    ],
+    ids=["one-vertex", "w2-full", "w3-sampled"],
+)
+def test_write_decg_and_checksum_match_decg_dumps(tmp_path, graph):
+    path = tmp_path / "g.decg"
+    write_decg(graph, path)
+    data = path.read_bytes()
+    assert data == decg_dumps(graph).encode()
+    body = data[: data.rindex(b"end ")]
+    fresh = read_decg(data)
+    fresh._checksum = None  # hashed again from the pieces, without the text
+    assert fresh.checksum_hex() == f"{reference.fnv1a64(body):016x}"
+
+
+def test_decg_reader_past_its_checked_tail_cap_matches_reference():
+    # a distinct exponent on every edge gives every edge line its own tail,
+    # more of them than the reader keeps as checked
+    g = _graph(5, 2, count=100)
+    h = ColoredGraph(g.system, g.n, g.vertices, g.edge_colors, tuple(range(g.edge_count)))
+    assert g.edge_count > colorer._CHECKED_TAILS_CAP
+    data = decg_dumps(h).encode()
+    assert read_decg(data) == reference.read_decg(data) == h
+
+
+def test_decg_non_utf8_line_is_reported_at_its_own_line():
+    lines = decg_dumps(_graph(2, 1)).encode().split(b"\n")
+    for line_no in (3, 7, 30):  # a header, a vertex and an edge line
+        broken = list(lines)
+        broken[line_no - 1] += b"\xff"
+        with pytest.raises(BadFormat, match="not UTF-8") as info:
+            read_decg(b"\n".join(broken))
+        assert info.value.line_no == line_no
+
+
+def _peak_traced_bytes(fn) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _crc32(data: bytes, state: int = 0xCBF29CE484222325) -> int:
+    """A stand-in for fnv1a64 with its signature: chained over pieces, it
+    gives the same value however the text is cut."""
+    return zlib.crc32(data, state & 0xFFFFFFFF)
+
+
+def test_decg_reader_and_writer_memory_grows_with_edges_not_text(tmp_path, monkeypatch):
+    """Peak traced allocation of write_decg and read_decg on the exhaustive
+    n = 1 graph (512 vertices, 130 816 edges, a 2.4 MB file).
+
+    Measured on CPython 3.11: write_decg peaks at 0.11 MB (0.8 B/edge) and
+    read_decg at 3.5 MB (26.6 B/edge), mostly the graph's two edge tuples.
+    The whole-text writer and reader they replaced peaked at 22.2 MB
+    (170 B/edge) and 19.4 MB (148 B/edge).
+
+    tracemalloc traces every int the pure-Python FNV-1a loop makes, which
+    would cost several seconds per call, so CRC-32 hashes the same pieces
+    instead: the figures measure what the writer and reader hold, and the
+    hash holds nothing.
+    """
+    monkeypatch.setattr(colorer, "fnv1a64", _crc32)
+    graph = _graph(3, 1)
+    assert graph.edge_count == 130816
+    path = tmp_path / "g.decg"
+    written = _peak_traced_bytes(lambda: write_decg(graph, path))
+    read = _peak_traced_bytes(lambda: read_decg(path))
+    assert written < 8 * graph.edge_count
+    assert read < 64 * graph.edge_count

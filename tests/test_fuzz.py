@@ -1,14 +1,17 @@
 """Hypothesis fuzzing of the two parsers that read outside input.
 
 Every mutation of a small valid DECG file either reads or fails with
-BadFormat or ChecksumMismatch, and `parse_pattern` fails only with
+BadFormat or ChecksumMismatch, and does so exactly when the whole-text
+reader in tests/reference.py does; `parse_pattern` fails only with
 ValueError.  Header edits reach `n 10**6` with a matching palette size,
 which the reader must refuse from the body without building the palette.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from decg import (
     BadFormat,
     ChecksumMismatch,
@@ -61,10 +64,57 @@ def mutated_decg(draw) -> bytes:
 @FUZZ
 @given(mutated_decg())
 def test_read_decg_fails_only_with_format_errors(data):
+    # and exactly when the whole-text reader does; otherwise both read the same graph
     try:
-        read_decg(data)
+        expected = reference.read_decg(data)
     except (BadFormat, ChecksumMismatch):
-        pass
+        with pytest.raises((BadFormat, ChecksumMismatch)):
+            read_decg(data)
+    else:
+        got = read_decg(data)
+        assert got == expected
+        assert got.checksum_hex() == expected.checksum_hex()
+
+
+def test_truncation_at_every_line_boundary_and_mid_line():
+    ends = [at + 1 for at, byte in enumerate(VALID) if byte == ord("\n")]
+    starts = [0] + ends[:-1]
+    cuts = set(starts)  # whole lines missing
+    cuts |= {end - 1 for end in ends}  # the last line loses its newline
+    cuts |= {(start + end) // 2 for start, end in zip(starts, ends)}  # cut mid-line
+    for cut in sorted(cuts):
+        with pytest.raises(BadFormat) as got:
+            read_decg(VALID[:cut])
+        with pytest.raises(BadFormat) as want:
+            reference.read_decg(VALID[:cut])
+        assert got.value.line_no == want.value.line_no, cut
+
+
+def _signed(lines: list[bytes]) -> bytes:
+    body = b"".join(line + b"\n" for line in lines)
+    return body + b"end %016x\n" % fnv1a64(body)
+
+
+def test_edge_line_with_a_checked_tail_but_wrong_indices_is_refused():
+    # every edge line in turn replaces its successor: its tail has passed
+    # the checks, its indices are one edge behind
+    lines = VALID.split(b"\n")[:-2]  # without the end line
+    for at in range(4 + len(POINTS), len(lines) - 1):
+        data = _signed(lines[: at + 1] + [lines[at]] + lines[at + 2 :])
+        with pytest.raises(BadFormat, match="out of order") as got:
+            read_decg(data)
+        with pytest.raises(BadFormat) as want:
+            reference.read_decg(data)
+        assert got.value.line_no == want.value.line_no == at + 2
+
+
+@pytest.mark.parametrize("extra", [b"x", b"\n", VALID[-21:]])
+def test_content_after_the_end_line_is_refused(extra):
+    end_no = VALID.count(b"\n")
+    for reader in (read_decg, reference.read_decg):
+        with pytest.raises(BadFormat) as info:
+            reader(VALID + extra)
+        assert info.value.line_no == end_no + 1
 
 
 VALID_PATTERN = "k3:w3:012210021"

@@ -1,12 +1,15 @@
 """Tests for separated sets, exact counts, and growth checks."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import reference
 from decg import (
     GrowthSequence,
+    MismatchedSystems,
     PeriodicConfiguration,
     RangeTooSmall,
     ShiftDistance,
@@ -16,6 +19,7 @@ from decg import (
     greedy_separated,
     growth_csv,
     s_count_shift_exact,
+    sample_periodic_points,
     separation_check,
     superpoly_check,
 )
@@ -39,6 +43,40 @@ def test_greedy_keeps_all_w3_patterns_at_scale_1():
     assert out.maximal_wrt == "exhaustive"
     ok, pair = separation_check(SYSTEM, out.points, SYSTEM.epsilon(1))
     assert ok and pair is None
+
+
+def _stream_with_near_duplicates(k, w, seed):
+    """Sampled patterns, plus repeats of some of them and copies that differ
+    from one of them in a single random cell, shuffled."""
+    rng = random.Random(seed)
+    base = list(sample_periodic_points(k, w, 30, seed))
+    stream = base + [rng.choice(base) for _ in range(10)]
+    for _ in range(20):
+        p = rng.choice(base)
+        stream.append(p.with_cell(rng.randrange(w), rng.randrange(w), rng.randrange(k)))
+    rng.shuffle(stream)
+    return stream
+
+
+@pytest.mark.parametrize(("k", "w"), [(2, 3), (2, 5), (3, 4), (3, 7)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_matches_pairwise_reference(k, w, seed):
+    system = ShiftSystem(k)
+    stream = _stream_with_near_duplicates(k, w, seed)
+    for e in range(w // 2 + 2):  # windows inside one period, then covering it
+        out = greedy_separated(system, stream, ShiftDistance(e))
+        assert out.points == tuple(reference.greedy_separated(system, stream, e)), e
+
+
+@pytest.mark.parametrize(
+    "other", [PeriodicConfiguration.constant(2, 5), PeriodicConfiguration.constant(3, 3)]
+)
+def test_greedy_refuses_mixed_shifts(other):
+    x = PeriodicConfiguration.constant(2, 3)
+    with pytest.raises(MismatchedSystems):
+        greedy_separated(SYSTEM, [x, other], SYSTEM.epsilon(1))
+    with pytest.raises(MismatchedSystems):
+        reference.greedy_separated(SYSTEM, [x, other], 1)
 
 
 def test_greedy_requires_positive_epsilon():
