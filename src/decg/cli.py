@@ -4,9 +4,10 @@ Subcommands: color, cliques, opposite, bounds, dimension, probe.  Every
 run emits a manifest (JSON) recording the full parameter set, seeds,
 checksums of inputs and outputs, wall time and, for `opposite`, the
 oracle's search-node count; primary outputs are byte deterministic given
-the manifest parameters.  Every command runs in one thread: `color` and
-`cliques` accept --threads and record it in the manifest, but it has no
-effect.
+the manifest parameters.  `color` and `cliques` also count the DECG bytes
+their checksum covers, and `cliques` the edges it revalidated.  Every
+command runs in one thread: `color` and `cliques` accept --threads and
+record it in the manifest, but it has no effect.
 
 Exit codes: 0 ok, 2 usage, 3 size cap, 4 I/O, 5 verification failure.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -138,6 +140,11 @@ def _decg_checksum(graph) -> str:
     return f"{fnv1a64(end_line, int(body, 16)):016x}"
 
 
+def _hashed_bytes(path) -> int:
+    """Bytes of a DECG file that its checksum covers: all but the end line."""
+    return os.path.getsize(path) - len("end 0123456789abcdef\n")
+
+
 def _write_manifest(
     args, params: dict, inputs: dict, outputs: dict, started: float, counters: dict | None = None
 ) -> None:
@@ -203,7 +210,7 @@ def cmd_color(args) -> int:
         "threads": args.threads,
         "seed": args.seed,
     }
-    _write_manifest(args, params, {}, outputs, started)
+    _write_manifest(args, params, {}, outputs, started, {"bytes_hashed": _hashed_bytes(args.out)})
     return EXIT_OK
 
 
@@ -223,7 +230,8 @@ def cmd_cliques(args) -> int:
     }
     outputs = _emit(_json_text(payload), args.out)
     params = {"path": args.path, "threads": args.threads}
-    _write_manifest(args, params, {args.path: _decg_checksum(graph)}, outputs, started)
+    counters = {"bytes_hashed": _hashed_bytes(args.path), "edges_revalidated": graph.edge_count}
+    _write_manifest(args, params, {args.path: _decg_checksum(graph)}, outputs, started, counters)
     return EXIT_OK
 
 

@@ -6,12 +6,21 @@ color.  Colors live in the square window C_n = {v : |v| <= n}, ordered
 row-major from (-n, -n) to (n, n) and decoded by arithmetic, never from a
 table.  Graphs serialize to the DECG text format, a line-oriented file
 with an FNV-1a-64 trailer checksum.
+
+FNV-1a's xor touches only the low byte of the state, so for any byte
+string s and 64-bit state h, fnv1a64(s, h) == (h * P**len(s) +
+A_s[h & 255]) mod 2**64, with P the FNV prime and a 256-entry step table
+A_s[l] = fnv1a64(s, l) - l * P**len(s).  The writer and the reader hash
+each edge line "e i j tail" by three or four such steps (the row prefix
+"e i ", j as one or two base-100 groups, the tail) instead of about 19
+byte steps; `fnv1a64` hashes everything else, byte by byte.
 """
 
 from __future__ import annotations
 
 import io
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -30,6 +39,7 @@ from .sepset import SeparatedSet
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
 
 DECG_VERSION = 1
 
@@ -39,7 +49,7 @@ def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
     h = state
     for b in data:
         h ^= b
-        h = (h * 0x100000001B3) & _MASK64
+        h = (h * _FNV_PRIME) & _MASK64
     return h
 
 
@@ -204,9 +214,113 @@ _SYSTEM_RE = re.compile(r"^system shift k=(\d+) alpha=(\d+)/(\d+)$")
 _END_RE = re.compile(r"end [0-9a-f]{16}")
 
 
-def _body_pieces(graph: ColoredGraph) -> Iterator[bytes]:
-    """The DECG text before the end line, as UTF-8 pieces: the header and
-    vertex lines, then one piece per row i holding the edges (i, i+1..q-1)."""
+# Edge-line tails ("c vx vy quality\n") the reader remembers as checked, the
+# writer as formatted and the hasher as counted.  An honest file has one per
+# color used; the cap bounds what a distinct tail on every line can make any
+# of them hold.
+_CHECKED_TAILS_CAP = 1 << 12
+
+
+def _step_table(token: bytes) -> tuple[int, memoryview]:
+    """(P**len(token), A) such that fnv1a64(token, h) == (h * P**len(token)
+    + A[h & 255]) mod 2**64 for every 64-bit state h.  A packs its 256
+    entries into 2 KB."""
+    states = list(range(256))  # fnv1a64 of the token so far, from each low byte
+    for b in token:
+        states = [((s ^ b) * _FNV_PRIME) & _MASK64 for s in states]
+    power = pow(_FNV_PRIME, len(token), 1 << 64)
+    steps = struct.pack("256Q", *[(s - low * power) & _MASK64 for low, s in enumerate(states)])
+    return power, memoryview(steps).cast("Q")
+
+
+# A tail gets a step table once this many edge lines have ended in it (the
+# table costs about as much as hashing the tail 256 times byte by byte), and
+# at most this many tails get one, so a file or graph with a distinct tail
+# on every edge line builds none.
+_TAIL_TABLE_USES = 256
+_TAIL_TABLES_CAP = 1024
+
+
+class _EdgeHasher:
+    """Continues an FNV-1a-64 state over the edge lines of one DECG body,
+    "e i j tail" with tail = "c vx vy quality\\n", by step tables.
+
+    Index tables grow with the largest j hashed, never with a header's
+    vertex count: "j " for j < 100, else the group "j // 100" followed by
+    "jj " (j % 100, two digits), at most about 110 + q/100 tables.
+    """
+
+    def __init__(self):
+        self.small: list[tuple[int, memoryview]] = []  # "j " for j < 100
+        self.low: list[tuple[int, memoryview]] = []  # "jj " for j % 100, once some j >= 100
+        self.high: list[tuple[int, memoryview]] = []  # "h" for h = j // 100 (high[0] unused)
+        # "e " and "e h" for h = i // 100: a row prefix less its last index
+        # group, with the low byte each table's step leaves behind
+        self.heads: list[tuple[int, memoryview, bytes]] = []
+        self.tails: dict[bytes, tuple[int, memoryview]] = {}
+        self._uses: dict[bytes, int] = {}  # lines seen so far of tails with no table
+
+    def row(self, state: int, i: int, tails: list[bytes]) -> int:
+        """`state` continued over the edge lines (i, i+1), (i, i+2), ...,
+        the k-th of which ends in tails[k]."""
+        return self._steps(state, self._prepare(i, tails), i, tails)
+
+    def _prepare(self, i: int, tails: list[bytes]) -> tuple[int, list[int]]:
+        """Build every table the row needs; returns the row prefix's."""
+        last = i + len(tails)
+        small, high, heads = self.small, self.high, self.heads
+        while len(small) <= min(last, 99):
+            small.append(_step_table(b"%d " % len(small)))
+        if last >= 100:
+            if not self.low:  # "jj " is "j " from 10 on
+                self.low = [_step_table(b"%02d " % d) for d in range(10)] + small[10:]
+            while len(high) <= last // 100:
+                high.append(_step_table(b"%d" % len(high)))
+        while len(heads) <= i // 100:
+            power, steps = _step_table(b"e %d" % len(heads) if heads else b"e ")
+            after = bytes([(low * power + a) & 255 for low, a in enumerate(steps)])
+            heads.append((power, steps, after))
+        tables, seen = self.tails, self._uses
+        for tail in tails:
+            if tail in tables or len(tables) >= _TAIL_TABLES_CAP:
+                continue
+            uses = seen.get(tail, 0) + 1
+            if uses == _TAIL_TABLE_USES:
+                seen.pop(tail, None)
+                tables[tail] = _step_table(tail)
+            elif uses > 1 or len(seen) < _CHECKED_TAILS_CAP:
+                seen[tail] = uses
+        # The head's step from low byte l gives h * m1 + a1[l], whose low
+        # byte is after[l]; the index group's step follows from there.
+        m1, a1, after = heads[i // 100]
+        m2, a2 = small[i] if i < 100 else self.low[i % 100]
+        return (m1 * m2) & _MASK64, [(a * m2 + a2[n]) & _MASK64 for a, n in zip(a1, after)]
+
+    def _steps(self, h: int, prefix: tuple[int, list[int]], i: int, tails: list[bytes]) -> int:
+        """The step arithmetic of `row`, once `_prepare` has built its tables."""
+        pm, pa = prefix
+        small, low, high, tables = self.small, self.low, self.high, self.tails
+        for j, tail in enumerate(tails, i + 1):
+            # reduced mod 2**64 once per line: the low byte is the same either way
+            h = h * pm + pa[h & 255]
+            if j < 100:
+                m, a = small[j]
+            else:
+                m, a = high[j // 100]
+                h = h * m + a[h & 255]
+                m, a = low[j % 100]
+            h = h * m + a[h & 255]
+            step = tables.get(tail)
+            if step is None:
+                h = fnv1a64(tail, h & _MASK64)
+            else:
+                m, a = step
+                h = (h * m + a[h & 255]) & _MASK64
+        return h
+
+
+def _head_piece(graph: ColoredGraph) -> bytes:
+    """The header and vertex lines of the DECG text, as UTF-8."""
     a = graph.system.alpha
     head = [
         f"decg {DECG_VERSION}",
@@ -215,26 +329,44 @@ def _body_pieces(graph: ColoredGraph) -> Iterator[bytes]:
         f"vertices {graph.vertex_count}  colors {len(graph.colors)}  sampled {graph.sampled}",
     ]
     head += [f"v {i} {encode_pattern(p)}" for i, p in enumerate(graph.vertices)]
-    yield "".join(line + "\n" for line in head).encode("utf-8")
-    fields = {c: "{} {} {}".format(c, *graph.colors[c]) for c in graph.colors_used()}
+    return "".join(line + "\n" for line in head).encode("utf-8")
+
+
+def _edge_rows(graph: ColoredGraph) -> Iterator[tuple[int, list[bytes]]]:
+    """(i, the tails "c vx vy quality\\n" of the edge lines (i, i+1..q-1))
+    for each row i."""
+    vectors = {c: graph.colors[c] for c in graph.colors_used()}
+    known: dict[tuple[int, int], bytes] = {}  # capped like the reader's, for the same reason
+
+    def tail(key: tuple[int, int]) -> bytes:
+        c, e = key
+        text = b"%d %d %d %d\n" % (c, *vectors[c], e)
+        if len(known) < _CHECKED_TAILS_CAP:
+            known[key] = text
+        return text
+
     colors, quality = graph.edge_colors, graph.edge_quality
     q = graph.vertex_count
     end = 0
     for i in range(q - 1):
         start, end = end, end + q - 1 - i
-        yield "".join(
-            f"e {i} {j} {fields[c]} {e}\n"
-            for j, c, e in zip(range(i + 1, q), colors[start:end], quality[start:end])
-        ).encode("utf-8")
+        yield i, [known.get(key) or tail(key) for key in zip(colors[start:end], quality[start:end])]
 
 
 def _signed_pieces(graph: ColoredGraph) -> Iterator[bytes]:
-    """The body pieces, each hashed as it passes, then the end line; caches
-    the body checksum on the graph."""
-    h = _FNV_OFFSET
-    for piece in _body_pieces(graph):
-        h = fnv1a64(piece, h)
-        yield piece
+    """The DECG text as UTF-8 pieces: the header and vertex lines, one
+    piece per row i holding the edges (i, i+1..q-1), then the end line.
+    Each piece before the end line is hashed as it passes, and the body
+    checksum is cached on the graph."""
+    head = _head_piece(graph)
+    h = fnv1a64(head)
+    yield head
+    hasher = _EdgeHasher()
+    indices = [b"%d " % j for j in range(graph.vertex_count)]
+    for i, tails in _edge_rows(graph):
+        h = hasher.row(h, i, tails)
+        prefix = b"e %d " % i
+        yield b"".join([prefix + j + tail for j, tail in zip(indices[i + 1 :], tails)])
     graph._checksum = f"{h:016x}"
     yield f"end {graph._checksum}\n".encode("ascii")
 
@@ -298,39 +430,37 @@ def _edge_fields(line_no: int, raw: bytes, i: int, j: int, colors: ColorSet) -> 
     return c, quality
 
 
-# Edge-line tails ("c vx vy quality\n") the reader remembers as checked.  An
-# honest file has one per color used; the cap bounds what a hostile file
-# with a distinct tail on every line can make the reader hold.
-_CHECKED_TAILS_CAP = 1 << 12
-
-
 def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[tuple, tuple, int]:
     """The edge lines of a q-vertex body, checked and hashed one row at a
     time: (colors, achieved exponents, the hash continued from `state`).
 
     An edge line whose prefix is "e i j " and whose tail was already
     checked on an earlier line passes the same checks, so it skips them.
+    Either way an accepted line is exactly that prefix and its tail, which
+    is what the row's step tables hash.
     """
     checked: dict[bytes, tuple[int, int]] = {}
+    hasher = _EdgeHasher()
     edge_colors: list[int] = []
     edge_quality: list[int] = []
     readline = fh.readline
     line_no = 4 + q
     for i in range(q - 1):
-        row: list[bytes] = []
+        tails: list[bytes] = []
         for j in range(i + 1, q):
             line_no += 1
             raw = readline()
             prefix = b"e %d %d " % (i, j)
-            fields = checked.get(raw[len(prefix) :]) if raw.startswith(prefix) else None
+            tail = raw[len(prefix) :]
+            fields = checked.get(tail) if raw.startswith(prefix) else None
             if fields is None:
                 fields = _edge_fields(line_no, raw, i, j, colors)
                 if len(checked) < _CHECKED_TAILS_CAP:
-                    checked[raw[len(prefix) :]] = fields
+                    checked[tail] = fields
             edge_colors.append(fields[0])
             edge_quality.append(fields[1])
-            row.append(raw)
-        state = fnv1a64(b"".join(row), state)
+            tails.append(tail)
+        state = hasher.row(state, i, tails)
     edge_colors = tuple(edge_colors)  # rebound, so each list is freed once copied
     return edge_colors, tuple(edge_quality), state
 

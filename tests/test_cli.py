@@ -389,6 +389,27 @@ def test_threads_do_not_change_output(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_color_and_cliques_manifests_count_hashed_bytes_and_revalidated_edges(tmp_path):
+    counters = []
+    for run, threads in enumerate(("1", "1", "4")):
+        graph, report = tmp_path / f"g{run}.decg", tmp_path / f"r{run}.json"
+        assert main(["color", "--k", "2", "--n", "1", "--max-vertices", "80",
+                     "--threads", threads, "--out", str(graph)]) == 0
+        assert main(["cliques", str(graph), "--threads", threads, "--out", str(report)]) == 0
+        counters.append([
+            _validated(Path(f"{path}.manifest.json"), "manifest")["counters"]
+            for path in (graph, report)
+        ])
+    assert counters[0] == counters[1] == counters[2]
+    data = graph.read_bytes()
+    q = read_decg(data).vertex_count
+    body = data.rindex(b"end ")
+    assert counters[0] == [
+        {"bytes_hashed": body},
+        {"bytes_hashed": body, "edges_revalidated": q * (q - 1) // 2},
+    ]
+
+
 def test_stdout_output_with_stderr_manifest(capsys):
     assert main(["bounds", "--g", "2", "--k", "2"]) == 0
     captured = capsys.readouterr()

@@ -6,6 +6,8 @@ import tracemalloc
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from decg import colorer
@@ -246,14 +248,103 @@ def test_write_decg_and_checksum_match_decg_dumps(tmp_path, graph):
     assert fresh.checksum_hex() == f"{reference.fnv1a64(body):016x}"
 
 
-def test_decg_reader_past_its_checked_tail_cap_matches_reference():
+def _with_exponents(g, quality):
+    return ColoredGraph(g.system, g.n, g.vertices, g.edge_colors, tuple(quality))
+
+
+def _distinct_tail_graph():
     # a distinct exponent on every edge gives every edge line its own tail,
     # more of them than the reader keeps as checked
     g = _graph(5, 2, count=100)
-    h = ColoredGraph(g.system, g.n, g.vertices, g.edge_colors, tuple(range(g.edge_count)))
     assert g.edge_count > colorer._CHECKED_TAILS_CAP
+    return _with_exponents(g, range(g.edge_count))
+
+
+def test_decg_reader_past_its_checked_tail_cap_matches_reference():
+    h = _distinct_tail_graph()
     data = decg_dumps(h).encode()
     assert read_decg(data) == reference.read_decg(data) == h
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.binary(max_size=24), st.integers(0, 2**64 - 1))
+def test_one_step_table_step_is_fnv1a64_of_its_token(token, state):
+    power, steps = colorer._step_table(token)
+    assert (state * power + steps[state & 255]) % 2**64 == fnv1a64(token, state)
+
+
+INDICES = (0, 9, 10, 99, 100, 101, 999, 1000, 4999)
+# negative vectors and nonzero exponents; the first three recur often
+# enough to get step tables, the last is new on every line
+TAILS = (b"0 -2 -2 7\n", b"11 -1 1 0\n", b"24 2 2 123456789\n")
+
+
+def _row_tails(i, j):
+    """Tails of the edge lines (i, i+1..j)."""
+    return [TAILS[k % 3] if k % 7 else b"12 0 0 %d\n" % k for k in range(i + 1, j + 1)]
+
+
+def test_edge_hasher_equals_reference_fnv_of_the_formatted_lines():
+    hasher = colorer._EdgeHasher()  # one hasher: its tables serve any row, in any order
+    for i in INDICES:
+        for j in [j for j in INDICES if j > i] or [i + 1]:
+            tails = _row_tails(i, j)
+            lines = b"".join(b"e %d %d " % (i, k) + t for k, t in enumerate(tails, i + 1))
+            assert hasher.row(0xCBF29CE484222325, i, tails) == reference.fnv1a64(lines), (i, j)
+    assert set(TAILS) <= set(hasher.tails)  # the rest, seen at most 8 times each, have none
+    assert len(hasher.tails) == len(TAILS)
+
+
+@pytest.mark.parametrize("exponents", [False, True], ids=["honest", "exponents"])
+def test_decg_round_trip_across_the_base_100_boundary(tmp_path, exponents):
+    g = color_graph(SYSTEM, sample_periodic_points(2, 5, 130, 7), 2)
+    assert g.vertex_count == 130
+    if exponents:
+        g = _with_exponents(g, (k % 3 for k in range(g.edge_count)))
+    path = tmp_path / "g.decg"
+    write_decg(g, path)
+    data = path.read_bytes()
+    assert data == decg_dumps(g).encode()
+    body = data[: data.rindex(b"end ")]
+    assert g.checksum_hex() == f"{reference.fnv1a64(body):016x}"
+    assert read_decg(path) == reference.read_decg(data) == g
+
+
+def _count_tail_tables(monkeypatch) -> list:
+    """Record every tail ("...\\n") that gets a step table from now on."""
+    built = []
+    real = colorer._step_table
+
+    def counting(token):
+        if token.endswith(b"\n"):
+            built.append(token)
+        return real(token)
+
+    monkeypatch.setattr(colorer, "_step_table", counting)
+    return built
+
+
+@pytest.mark.parametrize("graph", ["distinct", "recurring"])
+def test_tail_tables_are_capped_in_writer_and_reader(tmp_path, monkeypatch, graph):
+    if graph == "distinct":
+        h = _distinct_tail_graph()  # no tail recurs, so none earns a table
+        expected = 0
+    else:
+        # 50 exponents per color, each tail on about 4 of 4950 lines: far more
+        # tails earn a table than the (lowered) cap admits
+        monkeypatch.setattr(colorer, "_TAIL_TABLE_USES", 3)
+        monkeypatch.setattr(colorer, "_TAIL_TABLES_CAP", 5)
+        g = _graph(5, 2, count=100)
+        h = _with_exponents(g, (k % 50 for k in range(g.edge_count)))
+        expected = 5
+    built = _count_tail_tables(monkeypatch)
+    path = tmp_path / "g.decg"
+    write_decg(h, path)
+    assert len(built) == expected <= colorer._TAIL_TABLES_CAP
+    built.clear()
+    data = path.read_bytes()
+    assert read_decg(data) == reference.read_decg(data) == h
+    assert len(built) == expected
 
 
 def test_decg_non_utf8_line_is_reported_at_its_own_line():
@@ -276,27 +367,29 @@ def _peak_traced_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-def _crc32(data: bytes, state: int = 0xCBF29CE484222325) -> int:
-    """A stand-in for fnv1a64 with its signature: chained over pieces, it
-    gives the same value however the text is cut."""
-    return zlib.crc32(data, state & 0xFFFFFFFF)
+def _crc32_steps(hasher, state, prefix, i, tails):
+    """A stand-in for colorer._EdgeHasher._steps, after `_prepare` has
+    built the same tables: CRC-32 of the row index and the tails, chained
+    over rows, so the writer and the reader still agree."""
+    return zlib.crc32(b"".join(tails), zlib.crc32(b"%d" % i, state & 0xFFFFFFFF))
 
 
 def test_decg_reader_and_writer_memory_grows_with_edges_not_text(tmp_path, monkeypatch):
     """Peak traced allocation of write_decg and read_decg on the exhaustive
     n = 1 graph (512 vertices, 130 816 edges, a 2.4 MB file).
 
-    Measured on CPython 3.11: write_decg peaks at 0.11 MB (0.8 B/edge) and
-    read_decg at 3.5 MB (26.6 B/edge), mostly the graph's two edge tuples.
-    The whole-text writer and reader they replaced peaked at 22.2 MB
+    Measured on CPython 3.11: write_decg peaks at 0.44 MB (3.3 B/edge) and
+    read_decg at 3.8 MB (29.2 B/edge), mostly the graph's two edge tuples.
+    Both include the hasher's step tables, about 130 tables of 2 KB.  The
+    whole-text writer and reader that streaming replaced peaked at 22.2 MB
     (170 B/edge) and 19.4 MB (148 B/edge).
 
-    tracemalloc traces every int the pure-Python FNV-1a loop makes, which
-    would cost several seconds per call, so CRC-32 hashes the same pieces
-    instead: the figures measure what the writer and reader hold, and the
-    hash holds nothing.
+    tracemalloc traces every int the step arithmetic makes, which would
+    cost several seconds per call, so a CRC-32 of each row stands in for
+    the steps once the real tables are built: the figures measure what the
+    writer and reader hold, tables included, and the hash holds nothing.
     """
-    monkeypatch.setattr(colorer, "fnv1a64", _crc32)
+    monkeypatch.setattr(colorer._EdgeHasher, "_steps", _crc32_steps)
     graph = _graph(3, 1)
     assert graph.edge_count == 130816
     path = tmp_path / "g.decg"
