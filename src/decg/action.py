@@ -120,6 +120,23 @@ class ShiftDistance:
         return f"ShiftDistance(alpha**-{self.exponent})"
 
 
+@functools.lru_cache(maxsize=16)
+def scan_order(width: int) -> tuple[tuple[LatticeVector, ...], tuple[int, ...]]:
+    """(vectors, bit): the w*w cells of period `width` numbered by scan rank,
+    the order in which ball_vectors(width // 2) first reaches them (vectors
+    act modulo w).  `vectors[r]` first reaches the cell of rank r, and
+    row-major cell i has rank `bit[i]`, a bijection onto range(w*w).  A
+    smaller ball visits a prefix of this order, so the lowest set bit of a
+    diff mask is the pair's first differing site at every radius."""
+    reached: dict[int, LatticeVector] = {}
+    for v in ball_vectors(width // 2):
+        reached.setdefault((v.x % width) * width + v.y % width, v)
+    bit = [0] * (width * width)
+    for rank, cell in enumerate(reached):
+        bit[cell] = rank
+    return tuple(reached.values()), tuple(bit)
+
+
 @dataclass(frozen=True)
 class PeriodicConfiguration:
     """A doubly periodic point of the full shift.
@@ -147,10 +164,11 @@ class PeriodicConfiguration:
 
     @functools.cached_property
     def planes(self) -> tuple[int, ...]:
-        """Packed form, built on first use: ceil(log2 k) bit-planes; bit i
-        of plane j is bit j of cell i."""
+        """Packed form, built on first use: ceil(log2 k) bit-planes; bit
+        scan_order(w)[1][i] of plane j is bit j of row-major cell i."""
+        bit = scan_order(self.width)[1]
         return tuple(
-            sum(1 << i for i, s in enumerate(self.cells) if s >> j & 1)
+            sum(1 << b for b, s in zip(bit, self.cells) if s >> j & 1)
             for j in range((self.alphabet_size - 1).bit_length())
         )
 
@@ -200,8 +218,8 @@ def parse_pattern(text: str) -> PeriodicConfiguration:
 
 
 def diff_mask(x: PeriodicConfiguration, y: PeriodicConfiguration) -> int:
-    """Cells where x and y differ, as row-major bits: the OR of the XORs of
-    their bit-planes."""
+    """Cells where x and y differ, as scan-order bits: the OR of the XORs
+    of their bit-planes."""
     if x.width != y.width or x.alphabet_size != y.alphabet_size:
         raise MismatchedSystems(
             f"points live in different shifts: (w={x.width}, k={x.alphabet_size}) "
@@ -221,7 +239,8 @@ def window_mask(width: int, v: LatticeVector, radius: int) -> int:
     vx, vy = v
     rows = [a for a in range(width) if min((a - vx) % width, (vx - a) % width) <= radius]
     cols = [b for b in range(width) if min((b - vy) % width, (vy - b) % width) <= radius]
-    return sum(1 << (a * width + b) for a in rows for b in cols)
+    bit = scan_order(width)[1]
+    return sum(1 << bit[a * width + b] for a in rows for b in cols)
 
 
 def shifted_exponent(diff: int, width: int, v: LatticeVector) -> int | None:
@@ -231,35 +250,6 @@ def shifted_exponent(diff: int, width: int, v: LatticeVector) -> int | None:
     while diff and not diff & window_mask(width, v, r):
         r += 1
     return r if diff else None
-
-
-@functools.lru_cache(maxsize=16)
-def scan_ranks(width: int, radius: int):
-    """(vectors, runs): the cells ball_vectors(radius) reaches, in order of
-    first visit (vectors wrap modulo w, and all cells are reached by norm
-    w // 2).  `vectors[r]` first reaches the cell of rank r; each run holds
-    8 consecutive ranks as (mask, {nonempty subset: its least rank})."""
-    reached: dict[int, LatticeVector] = {}
-    for v in ball_vectors(min(radius, width // 2)):
-        reached.setdefault((v.x % width) * width + v.y % width, v)
-    cells = list(reached)
-    runs = []
-    for start in range(0, len(cells), 8):
-        run = cells[start : start + 8]
-        first = {0: None}  # subset of the run -> least rank in it
-        for b in reversed(range(len(run))):  # cell b outranks every cell added before it
-            first.update({key | 1 << run[b]: start + b for key in list(first)})
-        runs.append((max(first), first))  # the whole run is its largest subset
-    return tuple(reached.values()), tuple(runs)
-
-
-def lowest_rank(diff: int, runs) -> int | None:
-    """Scan rank of the first cell of `diff`: one AND and one lookup in the
-    first run it meets.  None when no ranked cell differs."""
-    for mask, first in runs:
-        if hit := diff & mask:
-            return first[hit]
-    return None
 
 
 def min_diff_vector(
@@ -272,11 +262,10 @@ def min_diff_vector(
     module-wide scan order.
     """
     diff = diff_mask(x, y)
-    vectors, runs = scan_ranks(x.width, x.width // 2)
-    rank = lowest_rank(diff, runs)
-    if rank is None:
+    if not diff:
         return None, ShiftDistance.zero()
-    return vectors[rank], ShiftDistance(vectors[rank].norm)
+    v = scan_order(x.width)[0][(diff & -diff).bit_length() - 1]
+    return v, ShiftDistance(v.norm)
 
 
 def shift_min_diff(x: PeriodicConfiguration, y: PeriodicConfiguration) -> ShiftDistance:

@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dim = sub.add_parser("dimension", help="box-dimension sequence CSV")
     p_dim.add_argument("--k", type=int, required=True)
-    p_dim.add_argument("--n-max", type=int, required=True)
+    p_dim.add_argument("--n-max", type=_positive_int, required=True)
     p_dim.add_argument("--alpha", type=_fraction, default=Fraction(2))
     p_dim.add_argument("--out", default=None)
     p_dim.set_defaults(func=cmd_dimension)
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None, checksum: str | None = None) -> dict[str, str]:
+def _emit(text: str, out_path: str | None) -> dict[str, str]:
     """Write the primary output; returns {path: checksum} for the manifest."""
     data = text.encode("utf-8")
     if out_path is None:
@@ -129,7 +129,7 @@ def _emit(text: str, out_path: str | None, checksum: str | None = None) -> dict[
     else:
         with open(out_path, "wb") as fh:
             fh.write(data)
-    return {out_path or "<stdout>": checksum or f"{fnv1a64(data):016x}"}
+    return {out_path or "<stdout>": f"{fnv1a64(data):016x}"}
 
 
 def _decg_checksum(graph) -> str:
@@ -255,9 +255,6 @@ def cmd_bounds(args) -> int:
 
 def cmd_dimension(args) -> int:
     started = time.perf_counter()
-    if args.n_max < 1:
-        sys.stderr.write("error: --n-max must be >= 1\n")
-        return EXIT_USAGE
     ShiftSystem(alphabet_size=args.k, alpha=args.alpha)  # refuses k and alpha as color does
     seq = GrowthSequence.shift_closed_form(args.k, args.n_max)
     outputs = _emit(growth_csv(seq, args.alpha), args.out)

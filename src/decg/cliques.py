@@ -13,12 +13,12 @@ pairwise 1/(4*alpha) apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .action import LatticeVector, diff_mask, shift_min_diff, shifted_exponent
 from .colorer import ColoredGraph
 from .errors import CapExceeded
-from .sepset import separation_check
 
 DEFAULT_CLIQUE_CAP = 5000
 
@@ -229,19 +229,15 @@ def mono_clique_report(graph: ColoredGraph, cap: int = DEFAULT_CLIQUE_CAP) -> Cl
     winner = next(e for e in entries if e.order == overall)
     system = graph.system
     images = [system.apply(winner.vector, graph.vertices[i]) for i in winner.witness]
-    ok, _ = separation_check(system, images, system.threshold)
-    smallest = None  # least pairwise distance of the image set
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            d = shift_min_diff(images[a], images[b])
-            if smallest is None or d < smallest:
-                smallest = d
-    attained = smallest.exponent if smallest is not None else None
+    t = system.threshold_exponent
+    exps = [shift_min_diff(a, b).exponent for a, b in combinations(images, 2)]  # None: identical
+    ok = all(e is not None and e <= t for e in exps)
+    attained = None if None in exps else max(exps, default=None)
     return CliqueReport(
         colors=tuple(entries),
         overall_max=overall,
         winning_color=winner.index,
-        threshold_exponent=system.threshold_exponent,
+        threshold_exponent=t,
         attained_exponent=attained,
         separation_passed=ok,
     )
@@ -256,8 +252,9 @@ def revalidate_edges(graph: ColoredGraph):
     most the threshold and equals the stored value.  Returns None when all
     edges pass, else (i, j, reason) for the first bad edge.
     """
-    # Windows, never the colorer's scan ranks: the check must not repeat
-    # the logic it checks.
+    # Coset-norm windows, never the colorer's lowest-bit lookup: the two
+    # share only the cell numbering, so the check does not repeat the logic
+    # it checks.
     t = graph.system.threshold_exponent
     vectors = {c: graph.colors[c] for c in graph.colors_used()}
     verts = graph.vertices

@@ -26,13 +26,14 @@ from fractions import Fraction
 from typing import Iterator
 
 from .action import (
+    ORIGIN,
     LatticeVector,
     PeriodicConfiguration,
     ShiftSystem,
     encode_pattern,
-    lowest_rank,
     parse_pattern,
-    scan_ranks,
+    scan_order,
+    window_mask,
 )
 from .errors import BadFormat, ChecksumMismatch, MismatchedSystems, NoWitness, UnknownColor
 from .sepset import SeparatedSet
@@ -176,19 +177,22 @@ def color_graph(
     if len(widths) != 1:
         raise MismatchedSystems(f"vertices mix periods {sorted(widths)}")
     (width,) = widths
-    vectors, runs = scan_ranks(width, n)
+    window = window_mask(width, ORIGIN, n)  # the scan ranks below window.bit_length()
+    vectors = scan_order(width)[0][: window.bit_length()]
     color_of_rank = [ColorSet(n).index_of(v) for v in vectors]
     q = len(points)
     colors: list[int] = []
-    columns = list(zip(*(p.planes for p in points)))  # plane j of every vertex
+    columns = [  # plane j of every vertex, cut to the window
+        [plane & window for plane in column] for column in zip(*(p.planes for p in points))
+    ]
     for i in range(q):
-        diffs = [0] * (q - i - 1)  # diff masks of the pairs (i, j > i)
+        diffs = [0] * (q - i - 1)  # windowed diff masks of the pairs (i, j > i)
         for column in columns:
             own = column[i]
             diffs = [d | own ^ other for d, other in zip(diffs, column[i + 1 :])]
-        row = [lowest_rank(d, runs) for d in diffs]
-        if None in row:
-            j = i + 1 + row.index(None)
+        row = [(d & -d).bit_length() - 1 for d in diffs]  # scan rank of the witness, or -1
+        if -1 in row:
+            j = i + 1 + row.index(-1)
             raise NoWitness(
                 f"vertices {i} and {j} agree on the whole color window; "
                 "the input set is not separated at alpha**-n",

@@ -21,7 +21,7 @@ from decg import (
     sample_periodic_points,
     shift_min_diff,
 )
-from decg.action import min_diff_vector
+from decg.action import ORIGIN, min_diff_vector, scan_order, window_mask
 
 
 def test_lattice_vector_norm():
@@ -132,6 +132,19 @@ def test_apply_rejects_foreign_alphabet():
     p3 = PeriodicConfiguration.constant(3, 2)
     with pytest.raises(MismatchedSystems):
         system.apply(LatticeVector(0, 0), p3)
+
+
+@pytest.mark.parametrize("w", range(1, 10))
+def test_scan_order_numbers_every_ball_as_a_prefix(w):
+    vectors, bit = scan_order(w)
+    assert sorted(bit) == list(range(w * w))
+    for i in range(w * w):  # the vector of a cell's rank reaches that cell
+        v = vectors[bit[i]]
+        assert (v.x % w) * w + v.y % w == i
+    for r in range(w // 2 + 2):
+        cells = {(v.x % w) * w + v.y % w for v in ball_vectors(r)}
+        assert {bit[i] for i in cells} == set(range(len(cells)))
+        assert window_mask(w, ORIGIN, r) == (1 << len(cells)) - 1
 
 
 def test_min_diff_identical_and_origin():

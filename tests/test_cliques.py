@@ -197,6 +197,24 @@ def test_mono_clique_report_single_edge():
     assert report.separation_passed
 
 
+X11 = PeriodicConfiguration.constant(2, 11)
+
+
+@pytest.mark.parametrize(
+    "vertices, certificate",
+    [
+        ((X11,), (None, True)),  # no pair to separate
+        ((X11, X11), (None, False)),  # identical images are at distance zero
+        ((X11, X11.with_cell(5, 0, 1)), (5, False)),  # exponent 5 misses the threshold 3
+    ],
+)
+def test_certificate_on_hand_built_graphs(vertices, certificate):
+    edges = len(vertices) * (len(vertices) - 1) // 2
+    g = ColoredGraph(SYSTEM, 0, vertices, (0,) * edges, (0,) * edges)  # every edge (0, 0)
+    report = mono_clique_report(g)
+    assert (report.attained_exponent, report.separation_passed) == certificate
+
+
 @pytest.mark.parametrize("q", [1, 2, 5])
 def test_unused_color_entry_is_max_clique_of_an_empty_class(q):
     g = color_graph(SYSTEM, sample_periodic_points(2, 5, q, seed=3), 2)

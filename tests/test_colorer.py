@@ -120,6 +120,11 @@ def test_color_graph_rejects_unseparated_input():
     y = x.with_cell(5, 0, 1)  # distance 2^-5 < 2^-1
     with pytest.raises(NoWitness):
         color_graph(SYSTEM, [x, y], 1)
+    # every other pair differs at (0, 0) or (0, 1); the error names (1, 3)
+    points = [x.with_cell(0, 0, 1), x, x.with_cell(0, 1, 1), y]
+    with pytest.raises(NoWitness, match="vertices 1 and 3 agree") as info:
+        color_graph(SYSTEM, points, 1)
+    assert info.value.pair == (1, 3)
 
 
 def test_color_graph_rejects_mixed_periods():
