@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -273,12 +274,46 @@ def shift_min_diff(x: PeriodicConfiguration, y: PeriodicConfiguration) -> ShiftD
     return min_diff_vector(x, y)[1]
 
 
+MAX_THRESHOLD_EXPONENT = 4096
+
+
+def _threshold_exponent(alpha: Fraction) -> int:
+    """Least t with alpha**t >= 4*alpha, so alpha**-t <= 1/(4*alpha).
+
+    "Distance at least 1/(4*alpha)" is taken to mean "exponent at most
+    t"; for the default alpha = 2 the two agree exactly (t = 3,
+    2**-3 = 1/8).  With alpha = a/b and s = t - 1 the test is
+    a**s >= 4 * b**s, decided in integers: a float estimate of s is
+    corrected by exact comparisons.  Raises ValueError when a or b
+    exceeds 64 bits or t exceeds MAX_THRESHOLD_EXPONENT.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    if max(a, b).bit_length() > 64:
+        raise ValueError("alpha's numerator and denominator must fit in 64 bits")
+    too_close = f"alpha is too close to 1: its threshold exponent exceeds {MAX_THRESHOLD_EXPONENT}"
+    # O(1) refusal: ln alpha <= alpha - 1, so s >= ln 4 / ln alpha > 1.386 / (alpha - 1),
+    # which exceeds MAX_THRESHOLD_EXPONENT when this holds
+    if 1000 * (a - b) * MAX_THRESHOLD_EXPONENT < 1386 * b:
+        raise ValueError(too_close)
+    s = math.ceil(math.log(4) / math.log(alpha))
+    while a**s < 4 * b**s:
+        s += 1
+    while a ** (s - 1) >= 4 * b ** (s - 1):
+        s -= 1
+    if s + 1 > MAX_THRESHOLD_EXPONENT:
+        raise ValueError(too_close)
+    return s + 1
+
+
 @dataclass(frozen=True)
 class ShiftSystem:
-    """The full shift over k symbols with base-alpha log-domain metric."""
+    """The full shift over k symbols with base-alpha log-domain metric.
+
+    `threshold_exponent` (see `_threshold_exponent`) is computed once, here."""
 
     alphabet_size: int = 2
     alpha: Fraction = Fraction(2)
+    threshold_exponent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= self.alphabet_size <= 36:
@@ -287,21 +322,7 @@ class ShiftSystem:
         object.__setattr__(self, "alpha", alpha)
         if alpha <= 1:
             raise ValueError("alpha must exceed 1")
-
-    @property
-    def threshold_exponent(self) -> int:
-        """Least t with alpha**t >= 4*alpha, so alpha**-t <= 1/(4*alpha).
-
-        "Distance at least 1/(4*alpha)" is taken to mean "exponent at most
-        t"; for the default alpha = 2 the two agree exactly (t = 3,
-        2**-3 = 1/8)."""
-        t = 0
-        p = Fraction(1)
-        bound = 4 * self.alpha
-        while p < bound:
-            p *= self.alpha
-            t += 1
-        return t
+        object.__setattr__(self, "threshold_exponent", _threshold_exponent(alpha))
 
     @property
     def threshold(self) -> ShiftDistance:

@@ -1,13 +1,17 @@
 """Batch command-line front end.
 
-Subcommands: color, cliques, opposite, bounds, dimension, probe.  Every
-run emits a manifest (JSON) recording the full parameter set, seeds,
-checksums of inputs and outputs, wall time and, for `opposite`, the
-oracle's search-node count; primary outputs are byte deterministic given
-the manifest parameters.  `color` and `cliques` also count the DECG bytes
-their checksum covers, and `cliques` the edges it revalidated.  Every
-command runs in one thread: `color` and `cliques` accept --threads and
-record it in the manifest, but it has no effect.
+Subcommands: color, cliques, opposite, bounds, dimension, probe.  Each
+`cmd_*` only computes: it writes its primary output and returns the
+manifest's inputs, outputs and counters, or raises.  `main` owns the run:
+it starts the clock, writes the manifest (JSON) and maps exceptions to
+exit codes with one `error: ` line on stderr.  The manifest records every
+parsed option but --out as its parameters, checksums of inputs and
+outputs, wall time and deterministic counters: the oracle's search-node
+count for `opposite`, the DECG bytes the checksum covers for `color` and
+`cliques`, and the edges `cliques` revalidated.  Primary outputs are byte
+deterministic given the manifest parameters.  Every command runs in one
+thread: `color` and `cliques` accept --threads and record it in the
+manifest, but it has no effect.
 
 Exit codes: 0 ok, 2 usage, 3 size cap, 4 I/O, 5 verification failure.
 """
@@ -61,6 +65,8 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand's options are declared in the order its manifest
+    lists them: the manifest's parameters are every parsed option but --out."""
     parser = argparse.ArgumentParser(
         prog="decg",
         description="Edge-colorings of complete graphs from shift dynamics, "
@@ -75,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--n", type=int, required=True, help="separation scale")
     p_color.add_argument("--alpha", type=_fraction, default=Fraction(2))
     p_color.add_argument("--max-vertices", type=int, default=None)
-    p_color.add_argument("--seed", type=int, default=0)
-    p_color.add_argument("--threads", type=int, default=1, help="recorded only; no effect")
     p_color.add_argument("--vertex-cap", type=_positive_int, default=DEFAULT_VERTEX_CAP)
+    p_color.add_argument("--threads", type=int, default=1, help="recorded only; no effect")
+    p_color.add_argument("--seed", type=int, default=0)
     p_color.add_argument("--out", required=True)
     p_color.set_defaults(func=cmd_color)
 
@@ -145,21 +151,23 @@ def _hashed_bytes(path) -> int:
     return os.path.getsize(path) - len("end 0123456789abcdef\n")
 
 
-def _write_manifest(
-    args, params: dict, inputs: dict, outputs: dict, started: float, counters: dict | None = None
-) -> None:
+def _write_manifest(args, inputs: dict, outputs: dict, started: float, counters: dict) -> None:
     manifest = {
         "tool": "decg",
         "version": __version__,
         "subcommand": args.subcommand,
-        "parameters": params,
+        "parameters": {
+            name: str(value) if isinstance(value, Fraction) else value
+            for name, value in vars(args).items()
+            if name not in ("subcommand", "func", "out")
+        },
         "inputs": inputs,
         "outputs": outputs,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    if counters is not None:
+    if counters:
         manifest["counters"] = counters
-    text = json.dumps(manifest, indent=2) + "\n"
+    text = _json_text(manifest)
     primary = next((p for p in outputs if p != "<stdout>"), None)
     if primary is None:
         sys.stderr.write(text)
@@ -172,56 +180,37 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def cmd_color(args) -> int:
-    started = time.perf_counter()
+def cmd_color(args) -> tuple[dict, dict, dict]:
     system = ShiftSystem(alphabet_size=args.k, alpha=args.alpha)
     width = 2 * args.n + 1
     size = args.k ** (width * width)
     if args.max_vertices is None:
         if size > args.vertex_cap:
-            sys.stderr.write(
-                f"error: {args.k}^{width * width} = {size} vertices exceeds cap "
-                f"{args.vertex_cap}; pass --max-vertices to subsample\n"
+            raise CapExceeded(
+                f"{args.k}^{width * width} = {size} vertices exceeds cap "
+                f"{args.vertex_cap}; pass --max-vertices to subsample"
             )
-            return EXIT_CAP
         stream = enumerate_periodic_points(args.k, width)
         universe = "exhaustive"
         sampled = "full"
     else:
         if args.max_vertices > args.vertex_cap:
-            sys.stderr.write(
-                f"error: --max-vertices {args.max_vertices} exceeds cap {args.vertex_cap}\n"
-            )
-            return EXIT_CAP
+            raise CapExceeded(f"--max-vertices {args.max_vertices} exceeds cap {args.vertex_cap}")
         stream = sample_periodic_points(args.k, width, args.max_vertices, args.seed)
         universe = "stream"
         sampled = f"subsampled seed={args.seed}"
     vertices = greedy_separated(system, stream, system.epsilon(args.n), universe)
     graph = color_graph(system, vertices, args.n, sampled=sampled)
     write_decg(graph, args.out)
-    outputs = {args.out: _decg_checksum(graph)}
-    params = {
-        "system": "shift",
-        "k": args.k,
-        "n": args.n,
-        "alpha": str(args.alpha),
-        "max_vertices": args.max_vertices,
-        "vertex_cap": args.vertex_cap,
-        "threads": args.threads,
-        "seed": args.seed,
-    }
-    _write_manifest(args, params, {}, outputs, started, {"bytes_hashed": _hashed_bytes(args.out)})
-    return EXIT_OK
+    return {}, {args.out: _decg_checksum(graph)}, {"bytes_hashed": _hashed_bytes(args.out)}
 
 
-def cmd_cliques(args) -> int:
-    started = time.perf_counter()
+def cmd_cliques(args) -> tuple[dict, dict, dict]:
     graph = read_decg(args.path)
     bad = revalidate_edges(graph)
     if bad is not None:
         i, j, reason = bad
-        sys.stderr.write(f"error: edge ({i}, {j}) fails revalidation: {reason}\n")
-        return EXIT_VERIFY
+        raise InconsistentCertificate(f"edge ({i}, {j}) fails revalidation: {reason}")
     report = mono_clique_report(graph)
     cert = opposite_upper_bound(report, graph, revalidated=True)
     payload = {
@@ -229,42 +218,27 @@ def cmd_cliques(args) -> int:
         "bound_certificate": cert.to_json() if cert is not None else None,
     }
     outputs = _emit(_json_text(payload), args.out)
-    params = {"path": args.path, "threads": args.threads}
     counters = {"bytes_hashed": _hashed_bytes(args.path), "edges_revalidated": graph.edge_count}
-    _write_manifest(args, params, {args.path: _decg_checksum(graph)}, outputs, started, counters)
-    return EXIT_OK
+    return {args.path: _decg_checksum(graph)}, outputs, counters
 
 
-def cmd_opposite(args) -> int:
-    started = time.perf_counter()
+def cmd_opposite(args) -> tuple[dict, dict, dict]:
     result = opposite_ramsey_exact(args.p, args.q, cap=args.cap)
-    outputs = _emit(_json_text(result.to_json()), args.out)
-    params = {"p": args.p, "q": args.q, "cap": args.cap}
-    _write_manifest(args, params, {}, outputs, started, {"oracle_nodes": result.nodes})
-    return EXIT_OK
+    return {}, _emit(_json_text(result.to_json()), args.out), {"oracle_nodes": result.nodes}
 
 
-def cmd_bounds(args) -> int:
-    started = time.perf_counter()
+def cmd_bounds(args) -> tuple[dict, dict, dict]:
     record = bounds_record(args.g, args.k, args.c)
-    outputs = _emit(_json_text(record.to_json()), args.out)
-    params = {"g": args.g, "k": args.k, "c": str(args.c)}
-    _write_manifest(args, params, {}, outputs, started)
-    return EXIT_OK
+    return {}, _emit(_json_text(record.to_json()), args.out), {}
 
 
-def cmd_dimension(args) -> int:
-    started = time.perf_counter()
+def cmd_dimension(args) -> tuple[dict, dict, dict]:
     ShiftSystem(alphabet_size=args.k, alpha=args.alpha)  # refuses k and alpha as color does
     seq = GrowthSequence.shift_closed_form(args.k, args.n_max)
-    outputs = _emit(growth_csv(seq, args.alpha), args.out)
-    params = {"k": args.k, "n_max": args.n_max, "alpha": str(args.alpha)}
-    _write_manifest(args, params, {}, outputs, started)
-    return EXIT_OK
+    return {}, _emit(growth_csv(seq, args.alpha), args.out), {}
 
 
-def cmd_probe(args) -> int:
-    started = time.perf_counter()
+def cmd_probe(args) -> tuple[dict, dict, dict]:
     system = ShiftSystem(alphabet_size=args.k, alpha=args.alpha)
     result = probe_question(system, args.n)
     t = system.threshold_exponent
@@ -289,34 +263,28 @@ def cmd_probe(args) -> int:
             "threshold_exponent": result.threshold.exponent,
             "verified": True,
         }
-    outputs = _emit(_json_text(payload), args.out)
-    params = {
-        "system": "shift",
-        "n": args.n,
-        "k": args.k,
-        "alpha": str(args.alpha),
-    }
-    _write_manifest(args, params, {}, outputs, started)
-    return EXIT_OK
+    return {}, _emit(_json_text(payload), args.out), {}
+
+
+# First match wins, as in an except chain.
+_EXIT_CODES = (
+    (CapExceeded, EXIT_CAP),
+    ((BadFormat, ChecksumMismatch, NoWitness, InconsistentCertificate), EXIT_VERIFY),
+    (OSError, EXIT_IO),
+    ((ValueError, DecgError), EXIT_USAGE),
+)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except CapExceeded as exc:
+        inputs, outputs, counters = args.func(args)
+        _write_manifest(args, inputs, outputs, started, counters)
+        return EXIT_OK
+    except (OSError, ValueError, DecgError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAP
-    except (BadFormat, ChecksumMismatch, NoWitness, InconsistentCertificate) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VERIFY
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_IO
-    except (ValueError, DecgError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

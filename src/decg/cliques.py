@@ -28,12 +28,9 @@ def color_classes(graph: ColoredGraph) -> dict[int, list[int]]:
     index in ascending order, in one pass.  An unused color has no entry."""
     q = graph.vertex_count
     classes = {c: [0] * q for c in sorted(graph.colors_used())}
-    colors = graph.edge_colors
-    end = 0
-    for i in range(q):
+    for i, colors, _ in graph.rows():
         bit = 1 << i
-        start, end = end, end + q - 1 - i
-        for j, c in enumerate(colors[start:end], i + 1):
+        for j, c in enumerate(colors, i + 1):
             masks = classes[c]
             masks[i] |= 1 << j
             masks[j] |= bit
@@ -258,17 +255,11 @@ def revalidate_edges(graph: ColoredGraph):
     t = graph.system.threshold_exponent
     vectors = {c: graph.colors[c] for c in graph.colors_used()}
     verts = graph.vertices
-    q = graph.vertex_count
     width = verts[0].width
-    for i in range(q):
+    for i, colors, exponents in graph.rows():
         x = verts[i]
-        base = i * (2 * q - i - 1) // 2 - i - 1
-        for j in range(i + 1, q):
-            e = base + j
-            stored = graph.edge_quality[e]
-            achieved = shifted_exponent(
-                diff_mask(x, verts[j]), width, vectors[graph.edge_colors[e]]
-            )
+        for j, (c, stored) in enumerate(zip(colors, exponents), i + 1):
+            achieved = shifted_exponent(diff_mask(x, verts[j]), width, vectors[c])
             if achieved is None:
                 return (i, j, "endpoints are identical points")
             if achieved > t:

@@ -134,14 +134,20 @@ class ColoredGraph:
     def color_of(self, i: int, j: int) -> int:
         return self.edge_colors[self.edge_index(i, j)]
 
+    def rows(self) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+        """Yield (i, colors, exponents) of the edges (i, i+1..q-1) for each
+        row i in storage order.  Every row-wise reader of the edges uses this."""
+        q = self.vertex_count
+        end = 0
+        for i in range(q - 1):
+            start, end = end, end + q - 1 - i
+            yield i, self.edge_colors[start:end], self.edge_quality[start:end]
+
     def iter_edges(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (i, j, color index, achieved exponent) in storage order."""
-        e = 0
-        q = self.vertex_count
-        for i in range(q):
-            for j in range(i + 1, q):
-                yield i, j, self.edge_colors[e], self.edge_quality[e]
-                e += 1
+        for i, colors, exponents in self.rows():
+            for j, (c, e) in enumerate(zip(colors, exponents), i + 1):
+                yield i, j, c, e
 
     def colors_used(self) -> set[int]:
         return set(self.edge_colors)
@@ -349,12 +355,8 @@ def _edge_rows(graph: ColoredGraph) -> Iterator[tuple[int, list[bytes]]]:
             known[key] = text
         return text
 
-    colors, quality = graph.edge_colors, graph.edge_quality
-    q = graph.vertex_count
-    end = 0
-    for i in range(q - 1):
-        start, end = end, end + q - 1 - i
-        yield i, [known.get(key) or tail(key) for key in zip(colors[start:end], quality[start:end])]
+    for i, colors, exponents in graph.rows():
+        yield i, [known.get(key) or tail(key) for key in zip(colors, exponents)]
 
 
 def _signed_pieces(graph: ColoredGraph) -> Iterator[bytes]:

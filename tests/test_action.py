@@ -239,6 +239,46 @@ def test_threshold_exponent():
     assert ShiftSystem(2, Fraction(3, 2)).threshold_exponent == 5  # (3/2)^5 > 6
 
 
+def _threshold_by_products(alpha: Fraction) -> int:
+    """The least t with alpha**t >= 4*alpha, by repeated multiplication."""
+    t, p = 0, Fraction(1)
+    while p < 4 * alpha:
+        p *= alpha
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize(
+    "alpha, t",
+    [("4", 2), ("5", 2), ("1001/1000", 1388), ("65/64", 91), ("2954/2953", 4096)],
+)
+def test_threshold_exponent_matches_repeated_products(alpha, t):
+    assert ShiftSystem(2, Fraction(alpha)).threshold_exponent == t
+    assert _threshold_by_products(Fraction(alpha)) == t
+
+
+def test_threshold_exponent_matches_repeated_products_on_random_alphas():
+    rng = random.Random(11)
+    for _ in range(200):
+        b = rng.randrange(1, 200)
+        alpha = Fraction(b + rng.randrange(1, 3 * b + 1), b)
+        assert ShiftSystem(2, alpha).threshold_exponent == _threshold_by_products(alpha)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        Fraction(100001, 100000),  # t near 138 630: refused by the O(1) pre-check
+        Fraction(2955, 2954),  # t = 4097: passes the pre-check, refused exactly
+        Fraction(2**64 + 1, 2**64),
+        Fraction(2**65, 3),
+    ],
+)
+def test_threshold_exponent_refuses_alphas_near_one_or_past_64_bits(alpha):
+    with pytest.raises(ValueError):
+        ShiftSystem(2, alpha)
+
+
 def test_enumerate_counts():
     assert len(list(enumerate_periodic_points(2, 1))) == 2
     assert len(list(enumerate_periodic_points(2, 2))) == 16

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -67,6 +68,7 @@ def _exit_code(argv) -> int:
         (["dimension", "--k", "2", "--n-max", "2", "--alpha", "1"], 2),
         (["dimension", "--k", "2", "--n-max", "2", "--alpha", "1/2"], 2),
         (["dimension", "--k", "2", "--n-max", "2", "--alpha", "x"], 2),
+        (["dimension", "--k", "2", "--n-max", "2", "--alpha", str(2**64)], 2),
         (["probe", "--n", "0"], 2),
         (["probe", "--n", "1", "--k", "37"], 2),
         (["probe", "--n", "1", "--alpha", "1"], 2),
@@ -195,9 +197,16 @@ def test_color_cap_exit_3(tmp_path, capsys):
     code = main(["color", "--k", "2", "--n", "2", "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
-    assert "2^25" in err
-    assert "exceeds cap" in err
+    assert err == (
+        "error: 2^25 = 33554432 vertices exceeds cap 5000; pass --max-vertices to subsample\n"
+    )
     assert not out.exists()
+    assert list(tmp_path.iterdir()) == []  # no manifest either
+
+    code = main(["color", "--k", "2", "--n", "2", "--max-vertices", "5001", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: --max-vertices 5001 exceeds cap 5000\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cliques_missing_file_exit_4(tmp_path):
@@ -237,8 +246,11 @@ def test_cliques_corrupted_edge_exit_5(tmp_path, capsys):
     out.write_bytes(rebuilt.encode())
     code = main(["cliques", str(out)])
     assert code == 5
-    err = capsys.readouterr().err
-    assert f"edge ({i}, {j})" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # one error line and no manifest, which would go to stderr here
+    assert captured.err.startswith(f"error: edge ({i}, {j}) fails revalidation: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_cliques_checksum_mismatch_exit_5(tmp_path, capsys):
@@ -270,6 +282,41 @@ def test_cliques_bad_header_numbers_exit_5(tmp_path, capsys, line_no, header):
     out.write_text("\n".join(lines))
     assert main(["cliques", str(out)]) == 5
     assert f"error: line {line_no}: " in capsys.readouterr().err
+
+
+def _decg_child(*argv):
+    """Run decg in a child process, so that a hang fails the test."""
+    src = str(Path(decg.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "decg.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+def test_cliques_alpha_too_close_to_one_exits_5_without_hanging(tmp_path):
+    # a valid file whose line 2 asks for an alpha with a threshold exponent
+    # near 138 630, re-signed so that only the alpha is wrong
+    out = tmp_path / "g.decg"
+    assert main(["color", "--k", "2", "--n", "1", "--max-vertices", "4",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().split("\n")
+    lines[1] = "system shift k=2 alpha=100001/100000"
+    body = "\n".join(lines[:-2]) + "\n"
+    out.write_text(body + f"end {reference.fnv1a64(body.encode()):016x}\n")
+    proc = _decg_child("cliques", str(out))
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("error: line 2: ")
+
+
+def test_probe_alpha_too_close_to_one_exits_2_quickly():
+    started = time.perf_counter()
+    proc = _decg_child("probe", "--n", "2", "--alpha", "1.00001")
+    assert time.perf_counter() - started < 2
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: alpha is too close to 1")
 
 
 def test_opposite_output(tmp_path):
@@ -417,3 +464,49 @@ def test_stdout_output_with_stderr_manifest(capsys):
     assert payload["gg_upper"] == 16
     manifest = json.loads(captured.err)
     assert manifest["subcommand"] == "bounds"
+
+
+# Each subcommand's manifest parameters: every parsed option but --out, in
+# declaration order, with rationals as strings.
+@pytest.mark.parametrize(
+    "argv, parameters",
+    [
+        (
+            ["color", "--k", "2", "--n", "1", "--max-vertices", "40", "--alpha", "3/2",
+             "--threads", "3", "--out", "{tmp}/g.decg"],
+            [("system", "shift"), ("k", 2), ("n", 1), ("alpha", "3/2"), ("max_vertices", 40),
+             ("vertex_cap", 5000), ("threads", 3), ("seed", 0)],
+        ),
+        (
+            ["cliques", "{tmp}/g.decg", "--threads", "2", "--out", "{tmp}/r.json"],
+            [("path", "{tmp}/g.decg"), ("threads", 2)],
+        ),
+        (
+            ["opposite", "--p", "2", "--q", "5", "--out", "{tmp}/o.json"],
+            [("p", 2), ("q", 5), ("cap", 100000)],
+        ),
+        (
+            ["bounds", "--g", "9", "--k", "2", "--c", "3/2", "--out", "{tmp}/b.json"],
+            [("g", 9), ("k", 2), ("c", "3/2")],
+        ),
+        (
+            ["dimension", "--k", "2", "--n-max", "3", "--alpha", "5/2", "--out", "{tmp}/d.csv"],
+            [("k", 2), ("n_max", 3), ("alpha", "5/2")],
+        ),
+        (
+            ["probe", "--n", "1", "--alpha", "3", "--out", "{tmp}/p.json"],
+            [("system", "shift"), ("n", 1), ("k", 2), ("alpha", "3")],
+        ),
+    ],
+)
+def test_manifest_parameters_are_the_parsed_options(tmp_path, argv, parameters):
+    def fill(value):
+        return value.replace("{tmp}", str(tmp_path)) if isinstance(value, str) else value
+
+    if argv[0] == "cliques":
+        assert main(["color", "--k", "2", "--n", "1", "--max-vertices", "8",
+                     "--out", str(tmp_path / "g.decg")]) == 0
+    argv = [fill(a) for a in argv]
+    assert main(argv) == 0
+    manifest = _validated(Path(argv[-1] + ".manifest.json"), "manifest")
+    assert list(manifest["parameters"].items()) == [(k, fill(v)) for k, v in parameters]
