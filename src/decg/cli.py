@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +28,12 @@ from fractions import Fraction
 
 from . import __version__
 from .action import ShiftSystem, encode_pattern, enumerate_periodic_points, sample_periodic_points
-from .cliques import mono_clique_report, opposite_upper_bound, revalidate_edges
+from .cliques import (
+    DEFAULT_CLIQUE_CAP,
+    mono_clique_report,
+    opposite_upper_bound,
+    revalidate_edges,
+)
 from .colorer import decg_dumps  # noqa: F401  perfbench/tracer.py rebinds it by this name
 from .colorer import color_graph, fnv1a64, read_decg, write_decg
 from .errors import (
@@ -48,8 +54,6 @@ EXIT_CAP = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
 
-DEFAULT_VERTEX_CAP = 5000
-
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -61,6 +65,12 @@ def _fraction(text: str) -> Fraction:
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
     return int(text)
 
 
@@ -81,15 +91,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--n", type=int, required=True, help="separation scale")
     p_color.add_argument("--alpha", type=_fraction, default=Fraction(2))
     p_color.add_argument("--max-vertices", type=int, default=None)
-    p_color.add_argument("--vertex-cap", type=_positive_int, default=DEFAULT_VERTEX_CAP)
-    p_color.add_argument("--threads", type=int, default=1, help="recorded only; no effect")
-    p_color.add_argument("--seed", type=int, default=0)
+    p_color.add_argument("--vertex-cap", type=_positive_int, default=DEFAULT_CLIQUE_CAP)
+    p_color.add_argument(
+        "--threads", type=_positive_int, default=1, help="recorded only; no effect"
+    )
+    p_color.add_argument("--seed", type=_nonnegative_int, default=0)
     p_color.add_argument("--out", required=True)
     p_color.set_defaults(func=cmd_color)
 
     p_cliques = sub.add_parser("cliques", help="analyze a DECG file")
     p_cliques.add_argument("path")
-    p_cliques.add_argument("--threads", type=int, default=1, help="recorded only; no effect")
+    p_cliques.add_argument(
+        "--threads", type=_positive_int, default=1, help="recorded only; no effect"
+    )
     p_cliques.add_argument("--out", default=None)
     p_cliques.set_defaults(func=cmd_cliques)
 
@@ -227,7 +241,25 @@ def cmd_opposite(args) -> tuple[dict, dict, dict]:
     return {}, _emit(_json_text(result.to_json()), args.out), {"oracle_nodes": result.nodes}
 
 
+def _refuse_unprintable(name: str, base: int, exponent: int) -> None:
+    """Raise ValueError when base**exponent has more decimal digits than the
+    interpreter converts to text, which JSON output needs.  The power is
+    computed only once its bit length is known to be at most twice the
+    limit's: (bits(base) - 1) * exponent bounds it from below."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if not limit or base < 2 or exponent < 1:
+        return
+    ceiling = 10**limit
+    if (base.bit_length() - 1) * exponent >= ceiling.bit_length() or base**exponent >= ceiling:
+        raise ValueError(
+            f"{name} = {base}**{exponent} has more than {limit} digits, "
+            "the interpreter's limit for printing an integer"
+        )
+
+
 def cmd_bounds(args) -> tuple[dict, dict, dict]:
+    _refuse_unprintable("gg_upper", args.g, args.g * args.k)
+    _refuse_unprintable("lr_lower", 2, math.ceil(args.c * args.g * args.k))
     record = bounds_record(args.g, args.k, args.c)
     return {}, _emit(_json_text(record.to_json()), args.out), {}
 

@@ -20,6 +20,8 @@ from .action import LatticeVector, diff_mask, shift_min_diff, shifted_exponent
 from .colorer import ColoredGraph
 from .errors import CapExceeded
 
+# Also the default --vertex-cap of `decg color`: `decg cliques` must analyse
+# whatever `color` builds by default.
 DEFAULT_CLIQUE_CAP = 5000
 
 
@@ -209,7 +211,7 @@ class CliqueReport:
         }
 
 
-def mono_clique_report(graph: ColoredGraph, cap: int = DEFAULT_CLIQUE_CAP) -> CliqueReport:
+def mono_clique_report(graph: ColoredGraph) -> CliqueReport:
     """Run max_clique on every used color class and certify the winner.
 
     The winning clique's image under the winning color's shift is
@@ -220,7 +222,7 @@ def mono_clique_report(graph: ColoredGraph, cap: int = DEFAULT_CLIQUE_CAP) -> Cl
     for c in range(len(graph.colors)):
         # An unused color's class has no edges: max_clique gives it order 1
         # and witness [0], so it needs neither masks nor a search.
-        order, witness = max_clique(classes[c], cap) if c in classes else (1, [0])
+        order, witness = max_clique(classes[c]) if c in classes else (1, [0])
         entries.append(ColorCliqueEntry(c, graph.colors[c], order, tuple(witness)))
     overall = max(e.order for e in entries)
     winner = next(e for e in entries if e.order == overall)

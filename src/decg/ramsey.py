@@ -24,7 +24,11 @@ subtree and every color a forcing skips holds only colorings that could
 not lower best: r and the first extremal coloring are those of the
 unpruned enumeration.  ramsey_holds runs the same search with best
 starting at k.  `cap` bounds the work, not the input: a search that
-reaches its (cap + 1)-th node raises CapExceeded.
+reaches its (cap + 1)-th node raises CapExceeded.  Instances the search
+cannot hold are refused before anything is allocated: more edges than
+MAX_SEARCH_EDGES, or (for opposite_ramsey_exact) a first leaf beyond the
+budget.  Fresh colors enter one per edge, so at most min(p, edges)
+classes are ever used, and only that many are held.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ from .intlog import floor_ln
 # search nodes; (2, 10) needs 24 755, and (2, 12) reaches this in about
 # 9 s on a 2-core host under CPython 3.11
 DEFAULT_ORACLE_CAP = 100_000
+
+# The search recurses once per edge.  K_32 has 496 edges, so this keeps the
+# depth at half the default recursion limit of 1000, with room for the
+# caller's frames and the bounded clique search's.
+MAX_SEARCH_EDGES = 500
 
 
 def edge_list(q: int) -> tuple[tuple[int, int], ...]:
@@ -116,10 +125,16 @@ def _search(
     p-colorings of K_q, the first coloring in enumeration order that
     attains it (None when no coloring goes below `best`), and the number
     of search nodes visited.  The search ends as soon as the minimum is at
-    most `stop`, and raises CapExceeded on its (cap + 1)-th node.
+    most `stop`, and raises CapExceeded on its (cap + 1)-th node or when
+    K_q has more than MAX_SEARCH_EDGES edges.
     """
+    total = q * (q - 1) // 2
+    if total > MAX_SEARCH_EDGES:
+        raise CapExceeded(
+            f"K_{q} has {total} edges; the oracle searches at most {MAX_SEARCH_EDGES}"
+        )
     edges = edge_list(q)
-    total = len(edges)
+    p = min(p, total)  # colors past the edge count are never used
     adj = [[0] * q for _ in range(p)]
     col = [0] * total
     forced = [-1] * total  # class a propagation put the edge in, or -1
@@ -223,6 +238,10 @@ def opposite_ramsey_exact(
         raise ValueError("need at least one color")
     if q < 2:
         raise ValueError("need at least two vertices")
+    # Nothing prunes below best = q + 1, so the first leaf costs one node per
+    # edge plus the root: a budget below that is refused before the search.
+    if q * (q - 1) // 2 + 1 > cap:
+        raise CapExceeded(f"oracle search exceeds its budget of {cap} nodes")
     # every coloring has a monochromatic K_2, so a minimum of 2 is final
     r, coloring, nodes = _search(p, q, q + 1, 2, cap)
     assert coloring is not None
@@ -245,14 +264,17 @@ def ramsey_holds(p: int, k: int, q: int, cap: int = DEFAULT_ORACLE_CAP) -> bool:
 
 def verify_extremal(result: OppositeRamseyResult) -> bool:
     """Re-check the stored extremal coloring through the clique engine:
-    its largest monochromatic clique must be exactly r."""
-    edges = edge_list(result.q)
-    masks = [[0] * result.q for _ in range(result.p)]
-    for (i, j), c in zip(edges, result.extremal_coloring):
+    its largest monochromatic clique must be exactly r.  Only the classes
+    the coloring uses are built: an unused one has no edge, and an
+    edgeless K_q (q <= 1) has largest clique q."""
+    masks: dict[int, list[int]] = {}
+    for (i, j), c in zip(edge_list(result.q), result.extremal_coloring):
+        if c not in masks:
+            masks[c] = [0] * result.q
         masks[c][i] |= 1 << j
         masks[c][j] |= 1 << i
-    orders = [_cliques.max_clique(m)[0] for m in masks]
-    return max(orders) == result.r
+    orders = [_cliques.max_clique(m)[0] for m in masks.values()]
+    return max(orders, default=result.q) == result.r
 
 
 def gg_upper(g: int, k: int) -> int:

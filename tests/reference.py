@@ -10,8 +10,9 @@ per-color edge scan that `color_classes` replaced, and
 `opposite_ramsey_reference` the enumerator the opposite-Ramsey oracle ran
 before its bounded clique search, forward checking and propagation.
 `greedy_separated` is the pairwise first-fit loop that the keyed greedy
-replaced, and `read_decg` the whole-text DECG v1 reader that the streaming
-one replaced.
+replaced, `read_decg` the whole-text DECG v1 reader that the streaming
+one replaced, and `probe_question` the norm-range search that the probe's
+single construction replaced.
 """
 
 import re
@@ -22,6 +23,7 @@ from decg import (
     ChecksumMismatch,
     ColoredGraph,
     ColorSet,
+    Counterexample,
     LatticeVector,
     PeriodicConfiguration,
     ShiftDistance,
@@ -30,6 +32,7 @@ from decg import (
     ball_vectors,
     parse_pattern,
     ring_vectors,
+    shift_min_diff,
 )
 from decg.ramsey import edge_list
 
@@ -230,6 +233,42 @@ def opposite_ramsey_reference(p: int, q: int) -> tuple[int, tuple[int, ...]]:
 
     rec(0, 1, 0)
     return best, best_col
+
+
+def probe_question(system: ShiftSystem, n: int):
+    """The recovery-scale probe as a search over norms s in
+    [n + t + 1, n*n], each candidate re-verified by translate-and-scan."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    t = system.threshold_exponent
+    k = system.alphabet_size
+    for s in range(n + t + 1, n * n + 1):
+        width = 2 * s + 1
+        x = PeriodicConfiguration.constant(k, width)
+        y = x.with_cell(s, 0, 1)
+        d = shift_min_diff(x, y)
+        if not d >= ShiftDistance(n * n):
+            continue
+        best = None
+        ok = True
+        for v in ball_vectors(n):
+            dv = shift_min_diff(system.apply(v, x), system.apply(v, y))
+            if best is None or dv > best:
+                best = dv
+            if dv >= system.threshold:
+                ok = False
+                break
+        if ok:
+            return Counterexample(
+                x=x,
+                y=y,
+                n=n,
+                distance=d,
+                required_at_least=ShiftDistance(n * n),
+                best_shifted=best,
+                threshold=system.threshold,
+            )
+    return None
 
 
 # --- the DECG v1 reader before it streamed -------------------------------------

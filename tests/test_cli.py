@@ -54,7 +54,11 @@ def _exit_code(argv) -> int:
         (["color", "--k", "2", "--n", "1", "--alpha", "2/0"], 2),
         (["color", "--k", "2", "--n", "1", "--alpha", "two"], 2),
         (["color", "--k", "2", "--n", "1", "--max-vertices", "0"], 2),
+        (["color", "--k", "2", "--n", "1", "--max-vertices", "4", "--seed", "-5"], 2),
+        (["color", "--k", "2", "--n", "1", "--max-vertices", "4", "--threads", "-3"], 2),
+        (["color", "--k", "2", "--n", "1", "--max-vertices", "4", "--threads", "0"], 2),
         (["cliques", "{tmp}"], 4),
+        (["cliques", "{tmp}", "--threads", "0"], 2),
         (["opposite", "--p", "2", "--q", "3", "--cap", "0"], 2),
         (["opposite", "--p", "2", "--q", "3", "--cap", "-5"], 2),
         (["opposite", "--p", "0", "--q", "3"], 2),
@@ -102,15 +106,7 @@ def test_cliques_huge_palette_header_exits_5_in_flat_memory(tmp_path):
     path = tmp_path / "h.decg"
     path.write_bytes(HUGE_PALETTE_HEADER)
     assert len(HUGE_PALETTE_HEADER) == 87
-    src = str(Path(decg.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "decg.cli", "cliques", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        env={**os.environ, "PYTHONPATH": src},
-        preexec_fn=_limit_address_space,
-    )
+    proc = _decg_child("cliques", str(path))
     assert proc.returncode == 5, proc.stderr
     assert proc.stderr.startswith("error: line 5: ")
 
@@ -285,7 +281,8 @@ def test_cliques_bad_header_numbers_exit_5(tmp_path, capsys, line_no, header):
 
 
 def _decg_child(*argv):
-    """Run decg in a child process, so that a hang fails the test."""
+    """Run decg in a child process under a 512 MB address-space limit, so
+    that a hang or a runaway allocation fails the test."""
     src = str(Path(decg.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "decg.cli", *argv],
@@ -293,6 +290,44 @@ def _decg_child(*argv):
         text=True,
         timeout=30,
         env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_limit_address_space,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["opposite", "--p", "2", "--q", "45"], 3),  # deeper than the search recurses
+        (["opposite", "--p", "2", "--q", "20000"], 3),  # first leaf beyond the budget
+        (["opposite", "--p", "1000000000", "--q", "3"], 0),  # holds 3 classes, not 10^9
+        (["bounds", "--g", "1000", "--k", "1000"], 2),
+        (["bounds", "--g", "100000", "--k", "100000"], 2),
+        (["bounds", "--g", "9", "--k", "2", "--c", "1000000000"], 2),
+    ],
+)
+def test_oversized_argv_is_settled_at_once(argv, code):
+    started = time.perf_counter()
+    proc = _decg_child(*argv)
+    assert time.perf_counter() - started < 2
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error" in line]
+    assert len(errors) == (code != 0)
+    if code:
+        assert proc.stderr == errors[0] + "\n"
+        assert errors[0].startswith("error: ")
+
+
+def test_bounds_refuses_exactly_the_unprintable(capsys):
+    # 2**e has at most `limit` digits iff 2**e < 10**limit
+    limit = sys.get_int_max_str_digits()
+    e = (10**limit).bit_length() - 1
+    assert main(["bounds", "--g", "1", "--k", "1", "--c", str(e)]) == 0
+    assert json.loads(capsys.readouterr().out)["lr_lower"] == 2**e
+    assert main(["bounds", "--g", "1", "--k", "1", "--c", str(e + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: lr_lower = 2**{e + 1} has more than {limit} digits, "
+        "the interpreter's limit for printing an integer\n"
     )
 
 

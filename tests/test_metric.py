@@ -2,10 +2,14 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+import decg.metric
+import reference
 from decg import (
+    InconsistentCertificate,
     LatticeVector,
     NoWitness,
     PeriodicConfiguration,
@@ -149,3 +153,20 @@ def test_probe_question_finds_and_reverifies_at_n3():
 def test_probe_question_rejects_bad_n():
     with pytest.raises(ValueError):
         probe_question(SYSTEM, 0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("alpha", [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(5, 4)])
+def test_probe_question_matches_the_norm_range_search(alpha, k):
+    system = ShiftSystem(k, alpha)
+    for n in range(1, 9):
+        assert probe_question(system, n) == reference.probe_question(system, n)
+
+
+def test_probe_question_raises_when_its_pair_fails_the_recheck(monkeypatch):
+    # with the shift (s, 0) in the ball, the differing site moves to the origin
+    s = 4 + SYSTEM.threshold_exponent + 1
+    ball = ball_vectors(4) + (LatticeVector(s, 0),)
+    monkeypatch.setattr(decg.metric, "ball_vectors", lambda radius: ball)
+    with pytest.raises(InconsistentCertificate, match=f"norm-{s} pair"):
+        probe_question(SYSTEM, 4)

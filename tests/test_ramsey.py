@@ -16,6 +16,7 @@ import reference
 from decg import (
     CapExceeded,
     InconsistentCertificate,
+    OppositeRamseyResult,
     PeriodicConfiguration,
     ShiftSystem,
     color_graph,
@@ -221,6 +222,28 @@ def test_oracle_cap():
     # 2^28 and 3^28 nominal colorings, 75 and 119 search nodes
     assert opposite_ramsey_exact(2, 8).r == 3
     assert not ramsey_holds(3, 3, 8)
+
+
+def test_oracle_refuses_what_it_cannot_hold_before_searching():
+    # the search recurses once per edge, and K_33 has 528
+    with pytest.raises(CapExceeded, match="K_33 has 528 edges"):
+        ramsey_holds(2, 3, 33)
+    # nothing prunes before the first leaf, which costs q(q-1)/2 + 1 nodes
+    with pytest.raises(CapExceeded, match="budget of 15 nodes"):
+        opposite_ramsey_exact(1, 6, cap=15)
+    assert opposite_ramsey_exact(1, 6, cap=16).nodes == 16
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_colors_past_the_edge_count_change_nothing(q):
+    # fresh colors enter one per edge, so 100 colors hold q(q-1)/2 classes
+    # (the CLI argv sweep runs 10**9 colors, in a child with a memory limit)
+    many = opposite_ramsey_exact(100, q)
+    few = opposite_ramsey_exact(q * (q - 1) // 2, q)
+    assert (many.r, many.extremal_coloring, many.nodes) == (few.r, few.extremal_coloring, few.nodes)
+    assert verify_extremal(many)
+    # the re-check builds only the classes a coloring uses, whatever their index
+    assert verify_extremal(OppositeRamseyResult(100, 3, 2, (0, 5, 99)))
 
 
 # Taken from the forward-checking search that propagation replaced (23 s
