@@ -54,11 +54,7 @@ def _exit_code(argv) -> int:
         (["color", "--k", "2", "--n", "1", "--alpha", "2/0"], 2),
         (["color", "--k", "2", "--n", "1", "--alpha", "two"], 2),
         (["color", "--k", "2", "--n", "1", "--max-vertices", "0"], 2),
-        (["color", "--k", "2", "--n", "1", "--max-vertices", "4", "--seed", "-5"], 2),
-        (["color", "--k", "2", "--n", "1", "--max-vertices", "4", "--threads", "-3"], 2),
-        (["color", "--k", "2", "--n", "1", "--max-vertices", "4", "--threads", "0"], 2),
         (["cliques", "{tmp}"], 4),
-        (["cliques", "{tmp}", "--threads", "0"], 2),
         (["opposite", "--p", "2", "--q", "3", "--cap", "0"], 2),
         (["opposite", "--p", "2", "--q", "3", "--cap", "-5"], 2),
         (["opposite", "--p", "0", "--q", "3"], 2),
@@ -76,6 +72,10 @@ def _exit_code(argv) -> int:
         (["probe", "--n", "0"], 2),
         (["probe", "--n", "1", "--k", "37"], 2),
         (["probe", "--n", "1", "--alpha", "1"], 2),
+        (["color", "--k", "2", "--n", "1", "--max-vertices", "4", "--seed", "-5"], 2),
+        (["color", "--k", "2", "--n", "1", "--max-vertices", "4", "--threads", "-3"], 2),
+        (["color", "--k", "2", "--n", "1", "--max-vertices", "4", "--threads", "0"], 2),
+        (["cliques", "{tmp}", "--threads", "0"], 2),
     ],
 )
 def test_malformed_argv_exits_with_its_code(tmp_path, capsys, argv, code):
