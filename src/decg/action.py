@@ -21,6 +21,11 @@ from .errors import CapExceeded, MismatchedSystems
 
 DEFAULT_ENUMERATION_CAP = 1 << 25
 
+# The most cells (w*w) a pattern that `decg color` samples or `decg probe`
+# builds may hold: width 64, so --n up to 31 for `color`.  A width is
+# refused before any pattern of it is allocated.
+MAX_PATTERN_CELLS = 1 << 12
+
 _MASK64 = (1 << 64) - 1
 _BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 _BASE36_INDEX = {ch: i for i, ch in enumerate(_BASE36)}

@@ -8,10 +8,11 @@ exit codes with one `error: ` line on stderr.  The manifest records every
 parsed option but --out as its parameters, checksums of inputs and
 outputs, wall time and deterministic counters: the oracle's search-node
 count for `opposite`, the DECG bytes the checksum covers for `color` and
-`cliques`, and the edges `cliques` revalidated.  Primary outputs are byte
-deterministic given the manifest parameters.  Every command runs in one
-thread: `color` and `cliques` accept --threads and record it in the
-manifest, but it has no effect.
+`cliques`, and the edges `cliques` revalidated.  `color` and `cliques`
+also list their stages (see `decg.record`), each with its wall time and
+counters.  Primary outputs are byte deterministic given the manifest
+parameters.  Every command runs in one thread: `color` and `cliques`
+accept --threads and record it in the manifest, but it has no effect.
 
 Exit codes: 0 ok, 2 usage, 3 size cap, 4 I/O, 5 verification failure.
 """
@@ -27,7 +28,13 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .action import ShiftSystem, encode_pattern, enumerate_periodic_points, sample_periodic_points
+from .action import (
+    MAX_PATTERN_CELLS,
+    ShiftSystem,
+    encode_pattern,
+    enumerate_periodic_points,
+    sample_periodic_points,
+)
 from .cliques import (
     DEFAULT_CLIQUE_CAP,
     mono_clique_report,
@@ -46,6 +53,7 @@ from .errors import (
 )
 from .metric import probe_question
 from .ramsey import DEFAULT_ORACLE_CAP, bounds_record, opposite_ramsey_exact
+from .record import count, recording, stage
 from .sepset import GrowthSequence, greedy_separated, growth_csv
 
 EXIT_OK = 0
@@ -165,7 +173,9 @@ def _hashed_bytes(path) -> int:
     return os.path.getsize(path) - len("end 0123456789abcdef\n")
 
 
-def _write_manifest(args, inputs: dict, outputs: dict, started: float, counters: dict) -> None:
+def _write_manifest(
+    args, inputs: dict, outputs: dict, started: float, counters: dict, stages: list
+) -> None:
     manifest = {
         "tool": "decg",
         "version": __version__,
@@ -181,6 +191,8 @@ def _write_manifest(args, inputs: dict, outputs: dict, started: float, counters:
     }
     if counters:
         manifest["counters"] = counters
+    if stages:
+        manifest["stages"] = stages
     text = _json_text(manifest)
     primary = next((p for p in outputs if p != "<stdout>"), None)
     if primary is None:
@@ -197,31 +209,49 @@ def _json_text(obj) -> str:
 def cmd_color(args) -> tuple[dict, dict, dict]:
     system = ShiftSystem(alphabet_size=args.k, alpha=args.alpha)
     width = 2 * args.n + 1
-    size = args.k ** (width * width)
+    cells = width * width
+    if cells > MAX_PATTERN_CELLS:
+        raise ValueError(
+            f"--n {args.n} makes patterns of {width}x{width} = {cells} cells, "
+            f"above the cap of {MAX_PATTERN_CELLS}"
+        )
     if args.max_vertices is None:
-        if size > args.vertex_cap:
+        # k**cells >= 2**floor_bits, so a floor past the cap's bit length
+        # refuses without computing the power
+        floor_bits = (args.k.bit_length() - 1) * cells
+        size = args.k**cells if floor_bits <= max(64, args.vertex_cap.bit_length()) else None
+        if size is None or size > args.vertex_cap:
+            shown = f" = {size}" if size is not None and size.bit_length() <= 64 else ""
             raise CapExceeded(
-                f"{args.k}^{width * width} = {size} vertices exceeds cap "
+                f"{args.k}^{cells}{shown} vertices exceeds cap "
                 f"{args.vertex_cap}; pass --max-vertices to subsample"
             )
-        stream = enumerate_periodic_points(args.k, width)
-        universe = "exhaustive"
-        sampled = "full"
-    else:
-        if args.max_vertices > args.vertex_cap:
-            raise CapExceeded(f"--max-vertices {args.max_vertices} exceeds cap {args.vertex_cap}")
-        stream = sample_periodic_points(args.k, width, args.max_vertices, args.seed)
-        universe = "stream"
-        sampled = f"subsampled seed={args.seed}"
-    vertices = greedy_separated(system, stream, system.epsilon(args.n), universe)
-    graph = color_graph(system, vertices, args.n, sampled=sampled)
-    write_decg(graph, args.out)
+    elif args.max_vertices > args.vertex_cap:
+        raise CapExceeded(f"--max-vertices {args.max_vertices} exceeds cap {args.vertex_cap}")
+    with stage("points"):  # enumeration or sampling, then the greedy separation
+        if args.max_vertices is None:
+            stream = enumerate_periodic_points(args.k, width)
+            universe = "exhaustive"
+            sampled = "full"
+        else:
+            stream = sample_periodic_points(args.k, width, args.max_vertices, args.seed)
+            universe = "stream"
+            sampled = f"subsampled seed={args.seed}"
+        vertices = greedy_separated(system, stream, system.epsilon(args.n), universe)
+        count("vertices", len(vertices.points))
+    with stage("color"):
+        graph = color_graph(system, vertices, args.n, sampled=sampled)
+        count("edges", graph.edge_count)
+    with stage("write"):
+        write_decg(graph, args.out)
     return {}, {args.out: _decg_checksum(graph)}, {"bytes_hashed": _hashed_bytes(args.out)}
 
 
 def cmd_cliques(args) -> tuple[dict, dict, dict]:
-    graph = read_decg(args.path)
-    bad = revalidate_edges(graph)
+    with stage("read"):
+        graph = read_decg(args.path)
+    with stage("revalidate"):
+        bad = revalidate_edges(graph)
     if bad is not None:
         i, j, reason = bad
         raise InconsistentCertificate(f"edge ({i}, {j}) fails revalidation: {reason}")
@@ -311,8 +341,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        inputs, outputs, counters = args.func(args)
-        _write_manifest(args, inputs, outputs, started, counters)
+        with recording() as stages:
+            inputs, outputs, counters = args.func(args)
+        _write_manifest(args, inputs, outputs, started, counters, stages)
         return EXIT_OK
     except (OSError, ValueError, DecgError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -4,6 +4,9 @@ Each color class is searched with an exact branch-and-bound maximum clique
 solver (pivoting, bitset adjacency) whose vertices are seeded in
 degeneracy order.  That order comes from a bucket queue with a
 (degree, index) tie-break, so it costs O(q + m) bitmask updates per class.
+The paper's pigeonhole bound settles each class: splitting its vertices by
+their symbol at the class's color vector is a proper coloring, so the
+search stops at the first clique with one vertex per symbol.
 The overall maximum over colors upper-bounds the opposite-Ramsey number of
 the graph's parameters, and the winning clique doubles as a separation
 certificate: shifting its vertices by the winning color must leave them
@@ -16,9 +19,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .action import LatticeVector, diff_mask, shift_min_diff, shifted_exponent
+from .action import LatticeVector, shift_min_diff, shifted_exponent, window_mask
 from .colorer import ColoredGraph
-from .errors import CapExceeded
+from .errors import CapExceeded, MismatchedSystems
+from .record import count, stage
 
 # Also the default --vertex-cap of `decg color`: `decg cliques` must analyse
 # whatever `color` builds by default.
@@ -39,14 +43,24 @@ def color_classes(graph: ColoredGraph) -> dict[int, list[int]]:
     return classes
 
 
-def max_clique(adjacency: Sequence[int], cap: int = DEFAULT_CLIQUE_CAP) -> tuple[int, list[int]]:
+def max_clique(
+    adjacency: Sequence[int], cap: int = DEFAULT_CLIQUE_CAP, parts: Sequence[int] = ()
+) -> tuple[int, list[int]]:
     """Exact maximum clique order and one witness clique.
 
     `adjacency` is symmetric: bit j of adjacency[i] is set iff {i, j} is
     an edge (bit i of adjacency[i] is ignored).  Branch and bound with
-    pivoting; vertices are seeded in degeneracy order.  Deterministic:
-    the witness is the first maximum found by the fixed branch order.
-    Raises CapExceeded above `cap` vertices.
+    pivoting; vertices are seeded in degeneracy order, and each row is
+    relabelled into that order the first time the search reads it.
+    Deterministic: the witness is the first maximum found by the fixed
+    branch order.  Raises CapExceeded above `cap` vertices.
+
+    `parts` is an optional hint: vertex bitmasks that partition the
+    vertices into independent sets.  A clique meets each part at most
+    once, so once the hint passes its check (one AND per vertex) the
+    search stops at the first clique with a vertex in every nonempty
+    part.  That is the clique the full search would report, since it
+    only replaces a witness by a larger one.  An improper hint is ignored.
     """
     q = len(adjacency)
     if q == 0:
@@ -54,34 +68,31 @@ def max_clique(adjacency: Sequence[int], cap: int = DEFAULT_CLIQUE_CAP) -> tuple
     if q > cap:
         raise CapExceeded(f"{q} vertices exceeds clique search cap {cap}")
     masks = [adjacency[v] & ~(1 << v) for v in range(q)]
+    bound = _partition_bound(masks, parts)
+    limit = q if bound is None else bound  # no clique has more vertices
 
     order = _degeneracy_order(masks)
     pos = [0] * q
     for i, v in enumerate(order):
         pos[v] = i
-    radj = [0] * q
-    for v in range(q):
-        m = masks[v]
-        nm = 0
-        while m:
-            low = m & -m
-            nm |= 1 << pos[low.bit_length() - 1]
-            m ^= low
-        radj[pos[v]] = nm
+    radj = _Relabelled(masks, order, pos)
 
     best = 1
     best_clique = [0]
+    bar = best  # a branch that cannot beat it is pruned: best, or q once best is the limit
+    nodes = 0
 
     def expand(r: list[int], p: int):
         # p is never empty: the branch loop below settles leaves itself,
         # and the seed loop skips empty candidate sets
-        nonlocal best, best_clique
-        if len(r) + p.bit_count() <= best:
+        nonlocal best, best_clique, bar, nodes
+        nodes += 1
+        if len(r) + p.bit_count() <= bar:
             return
-        pivot = _pick_pivot(p, radj)
+        pivot = _pick_pivot(p, masks, order)
         cand = p & ~radj[pivot]
         while cand:
-            if len(r) + p.bit_count() <= best:
+            if len(r) + p.bit_count() <= bar:
                 return
             low = cand & -cand
             v = low.bit_length() - 1
@@ -92,6 +103,7 @@ def max_clique(adjacency: Sequence[int], cap: int = DEFAULT_CLIQUE_CAP) -> tuple
             elif len(r) > best:
                 best = len(r)
                 best_clique = r.copy()
+                bar = q if best == limit else best
             r.pop()
             p &= ~low
             cand ^= low
@@ -99,14 +111,64 @@ def max_clique(adjacency: Sequence[int], cap: int = DEFAULT_CLIQUE_CAP) -> tuple
         # extends by the pivot, which was branched above
 
     for i in range(q):
-        later = ((1 << q) - 1) >> (i + 1) << (i + 1)
-        p = radj[i] & later
+        if best == limit:
+            break
+        if 1 + masks[order[i]].bit_count() <= best:
+            continue  # too few neighbours, later or not: skip the relabel
+        p = radj[i] >> (i + 1) << (i + 1)
         if 1 + p.bit_count() <= best:
             continue
         expand([i], p)
+    del expand  # the closure refers to itself; freeing it frees radj and masks now
 
+    count("clique_nodes", nodes)
+    if best == bound:
+        count("hint_stops")
     witness = sorted(order[i] for i in best_clique)
     return best, witness
+
+
+def _partition_bound(masks: Sequence[int], parts: Sequence[int]) -> int | None:
+    """The number of nonempty parts when `parts` partitions the vertices
+    into independent sets, else None."""
+    q = len(masks)
+    union = 0
+    for part in parts:
+        if union & part:
+            return None  # a vertex in two parts
+        union |= part
+    if union != (1 << q) - 1:
+        return None  # a vertex in no part, or a bit past the last vertex
+    for part in parts:
+        m = part
+        while m:
+            low = m & -m
+            if masks[low.bit_length() - 1] & part:
+                return None  # an edge inside the part
+            m ^= low
+    return sum(1 for part in parts if part)
+
+
+class _Relabelled(dict):
+    """Row i is the adjacency of vertex order[i] with each neighbour u
+    renumbered pos[u], built on its first read."""
+
+    __slots__ = ("masks", "order", "pos")
+
+    def __init__(self, masks: Sequence[int], order: Sequence[int], pos: Sequence[int]):
+        super().__init__()
+        self.masks, self.order, self.pos = masks, order, pos
+
+    def __missing__(self, i: int) -> int:
+        pos = self.pos
+        m = self.masks[self.order[i]]
+        nm = 0
+        while m:
+            low = m & -m
+            nm |= 1 << pos[low.bit_length() - 1]
+            m ^= low
+        self[i] = nm
+        return nm
 
 
 def _degeneracy_order(masks: Sequence[int]) -> list[int]:
@@ -150,18 +212,26 @@ def _degeneracy_order(masks: Sequence[int]) -> list[int]:
     return order
 
 
-def _pick_pivot(p: int, radj: Sequence[int]) -> int:
-    best_v = -1
-    best_count = -1
+def _pick_pivot(p: int, masks: Sequence[int], order: Sequence[int]) -> int:
+    """The position in p whose vertex has the most neighbours in p, the
+    lowest position on ties.  Counted on the rows as given, with p mapped
+    back through `order`, so picking a pivot relabels no row."""
+    positions = []
+    members = 0  # p's vertices
     m = p
     while m:
         low = m & -m
         v = low.bit_length() - 1
-        c = (p & radj[v]).bit_count()
+        positions.append(v)
+        members |= 1 << order[v]
+        m ^= low
+    best_v = -1
+    best_count = -1
+    for v in positions:
+        c = (members & masks[order[v]]).bit_count()
         if c > best_count:
             best_count = c
             best_v = v
-        m ^= low
     return best_v
 
 
@@ -214,16 +284,26 @@ class CliqueReport:
 def mono_clique_report(graph: ColoredGraph) -> CliqueReport:
     """Run max_clique on every used color class and certify the winner.
 
-    The winning clique's image under the winning color's shift is
-    re-checked to be pairwise separated at the 1/(4*alpha) threshold.
+    Each class's search gets the paper's pigeonhole hint: the vertices
+    split by their symbol at the class's color vector.  An edge of color v
+    joins patterns whose first differing site is v, so the split is a
+    proper coloring and no clique of the class outgrows the alphabet.  The
+    hint is read from the raw patterns, and `max_clique` checks it before
+    using it.  The winning clique's image under the winning color's shift
+    is re-checked to be pairwise separated at the 1/(4*alpha) threshold.
     """
-    classes = color_classes(graph)
+    with stage("color_classes"):
+        classes = color_classes(graph)
+        count("classes", len(classes))
     entries = []
-    for c in range(len(graph.colors)):
-        # An unused color's class has no edges: max_clique gives it order 1
-        # and witness [0], so it needs neither masks nor a search.
-        order, witness = max_clique(classes[c]) if c in classes else (1, [0])
-        entries.append(ColorCliqueEntry(c, graph.colors[c], order, tuple(witness)))
+    with stage("clique_search"):
+        for c in range(len(graph.colors)):
+            # An unused color's class has no edges: max_clique gives it order 1
+            # and witness [0], so it needs neither masks nor a search.
+            order, witness = (
+                max_clique(classes[c], parts=_symbol_parts(graph, c)) if c in classes else (1, [0])
+            )
+            entries.append(ColorCliqueEntry(c, graph.colors[c], order, tuple(witness)))
     overall = max(e.order for e in entries)
     winner = next(e for e in entries if e.order == overall)
     system = graph.system
@@ -242,14 +322,27 @@ def mono_clique_report(graph: ColoredGraph) -> CliqueReport:
     )
 
 
+def _symbol_parts(graph: ColoredGraph, c: int) -> list[int]:
+    """Vertex bitmasks by the symbol each pattern holds at color c's vector."""
+    v = graph.colors[c]
+    parts: dict[int, int] = {}
+    for i, x in enumerate(graph.vertices):
+        s = x.at(v.x, v.y)
+        parts[s] = parts.get(s, 0) | 1 << i
+    return list(parts.values())
+
+
 def revalidate_edges(graph: ColoredGraph):
     """Independently recheck every edge's witness.
 
-    For each edge {x, y} colored v, grows coset-norm windows around v until
-    one meets the pair's diff mask, which gives the exact achieved
-    exponent; the edge is valid when that exponent is at
-    most the threshold and equals the stored value.  Returns None when all
-    edges pass, else (i, j, reason) for the first bad edge.
+    For each edge {x, y} colored v with stored exponent e, the edge is
+    valid when e is at most the threshold and is the exact exponent the
+    pair achieves after shifting by v: its diff mask meets the coset-norm
+    window of radius e around v and, for e > 0, misses the one of radius
+    e - 1.  Row i's diff masks come from one pass over the bit-plane
+    columns.  An edge that fails is re-measured by growing windows around
+    v, which names what is wrong.  Returns None when all edges pass, else
+    (i, j, reason) for the first bad edge.
     """
     # Coset-norm windows, never the colorer's lowest-bit lookup: the two
     # share only the cell numbering, so the check does not repeat the logic
@@ -258,10 +351,26 @@ def revalidate_edges(graph: ColoredGraph):
     vectors = {c: graph.colors[c] for c in graph.colors_used()}
     verts = graph.vertices
     width = verts[0].width
+    if len({(x.width, x.alphabet_size) for x in verts}) > 1:
+        raise MismatchedSystems("the graph's vertices mix periods or alphabets")
+    sites = {c: window_mask(width, v, 0) for c, v in vectors.items()}  # radius 0: v's cell
+    columns = list(zip(*(x.planes for x in verts)))  # plane j of every vertex
     for i, colors, exponents in graph.rows():
-        x = verts[i]
-        for j, (c, stored) in enumerate(zip(colors, exponents), i + 1):
-            achieved = shifted_exponent(diff_mask(x, verts[j]), width, vectors[c])
+        diffs = [0] * len(colors)  # diff masks of the pairs (i, j > i)
+        for column in columns:
+            own = column[i]
+            diffs = [d | own ^ other for d, other in zip(diffs, column[i + 1 :])]
+        for j, (diff, c, stored) in enumerate(zip(diffs, colors, exponents), i + 1):
+            if not stored:
+                if diff & sites[c]:
+                    continue
+            elif (
+                stored <= t
+                and diff & window_mask(width, vectors[c], stored)
+                and not diff & window_mask(width, vectors[c], stored - 1)
+            ):
+                continue
+            achieved = shifted_exponent(diff, width, vectors[c])
             if achieved is None:
                 return (i, j, "endpoints are identical points")
             if achieved > t:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .action import (
+    MAX_PATTERN_CELLS,
     ORIGIN,
     LatticeVector,
     PeriodicConfiguration,
@@ -133,6 +134,11 @@ class Counterexample:
     threshold: ShiftDistance
 
 
+# The most cells the probe's re-check may translate and scan: (2n+1)**2
+# shifts of a (2s+1)**2-cell pair.  n = 20 (alpha 2) scans about 4.0 M.
+MAX_PROBE_SCAN_CELLS = 1 << 23
+
+
 def probe_question(system: ShiftSystem, n: int):
     """The pair with d(x, y) >= alpha**-(n*n) that no |v| <= n separates to
     1/(4*alpha), or None when no such pair exists.
@@ -144,13 +150,26 @@ def probe_question(system: ShiftSystem, n: int):
     at most n + t is recovered by the standard contract, so `None` means
     n + t + 1 > n*n.  The pair is re-verified by translating and scanning
     it, not by the norm arithmetic above; a failed re-check raises
-    InconsistentCertificate.
+    InconsistentCertificate.  A pair above MAX_PATTERN_CELLS cells, or a
+    re-check above MAX_PROBE_SCAN_CELLS, raises ValueError before either
+    pattern is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     s = n + system.threshold_exponent + 1
     if s > n * n:
         return None
+    cells = (2 * s + 1) ** 2
+    if cells > MAX_PATTERN_CELLS:
+        raise ValueError(
+            f"the probe pair at n = {n} has {cells} cells per pattern, "
+            f"above the cap of {MAX_PATTERN_CELLS}"
+        )
+    if (2 * n + 1) ** 2 * cells > MAX_PROBE_SCAN_CELLS:
+        raise ValueError(
+            f"the probe re-check at n = {n} scans {(2 * n + 1) ** 2} shifts of "
+            f"{cells} cells, above the cap of {MAX_PROBE_SCAN_CELLS} cells"
+        )
     x = PeriodicConfiguration.constant(system.alphabet_size, 2 * s + 1)
     y = x.with_cell(s, 0, 1)
     d = shift_min_diff(x, y)

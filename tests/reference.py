@@ -12,7 +12,10 @@ before its bounded clique search, forward checking and propagation.
 `greedy_separated` is the pairwise first-fit loop that the keyed greedy
 replaced, `read_decg` the whole-text DECG v1 reader that the streaming
 one replaced, and `probe_question` the norm-range search that the probe's
-single construction replaced.
+single construction replaced.  `max_clique` is the clique search before
+it took a partition hint and relabelled rows lazily, and
+`revalidate_edges` the edge check before it built diff masks a row at a
+time and tested each stored exponent with two windows.
 """
 
 import re
@@ -20,6 +23,7 @@ from fractions import Fraction
 
 from decg import (
     BadFormat,
+    CapExceeded,
     ChecksumMismatch,
     ColoredGraph,
     ColorSet,
@@ -34,6 +38,8 @@ from decg import (
     ring_vectors,
     shift_min_diff,
 )
+from decg.action import diff_mask, shifted_exponent as shifted_mask_exponent
+from decg.cliques import _degeneracy_order
 from decg.ramsey import edge_list
 
 
@@ -419,3 +425,103 @@ def read_decg(source) -> ColoredGraph:
         sampled=sampled,
         _checksum=stored,
     )
+
+
+# --- the clique search and the edge check before the pigeonhole hint ---------
+
+
+def max_clique(adjacency, cap: int = 5000) -> tuple[int, list[int]]:
+    """Exact maximum clique order and the first maximum witness, by
+    branch and bound with pivoting over every row relabelled up front
+    into degeneracy order."""
+    q = len(adjacency)
+    if q == 0:
+        return 0, []
+    if q > cap:
+        raise CapExceeded(f"{q} vertices exceeds clique search cap {cap}")
+    masks = [adjacency[v] & ~(1 << v) for v in range(q)]
+
+    order = _degeneracy_order(masks)
+    pos = [0] * q
+    for i, v in enumerate(order):
+        pos[v] = i
+    radj = [0] * q
+    for v in range(q):
+        m = masks[v]
+        nm = 0
+        while m:
+            low = m & -m
+            nm |= 1 << pos[low.bit_length() - 1]
+            m ^= low
+        radj[pos[v]] = nm
+
+    best = 1
+    best_clique = [0]
+
+    def expand(r: list[int], p: int):
+        nonlocal best, best_clique
+        if len(r) + p.bit_count() <= best:
+            return
+        pivot = _pick_pivot(p, radj)
+        cand = p & ~radj[pivot]
+        while cand:
+            if len(r) + p.bit_count() <= best:
+                return
+            low = cand & -cand
+            v = low.bit_length() - 1
+            r.append(v)
+            grown = p & radj[v]
+            if grown:
+                expand(r, grown)
+            elif len(r) > best:
+                best = len(r)
+                best_clique = r.copy()
+            r.pop()
+            p &= ~low
+            cand ^= low
+
+    for i in range(q):
+        later = ((1 << q) - 1) >> (i + 1) << (i + 1)
+        p = radj[i] & later
+        if 1 + p.bit_count() <= best:
+            continue
+        expand([i], p)
+
+    witness = sorted(order[i] for i in best_clique)
+    return best, witness
+
+
+def _pick_pivot(p: int, radj) -> int:
+    best_v = -1
+    best_count = -1
+    m = p
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        c = (p & radj[v]).bit_count()
+        if c > best_count:
+            best_count = c
+            best_v = v
+        m ^= low
+    return best_v
+
+
+def revalidate_edges(graph: ColoredGraph):
+    """Recheck every edge on its own: the pair's diff mask, then windows
+    grown around the edge's color vector until one meets it.  None when
+    every edge passes, else (i, j, reason) for the first bad edge."""
+    t = graph.system.threshold_exponent
+    vectors = {c: graph.colors[c] for c in graph.colors_used()}
+    verts = graph.vertices
+    width = verts[0].width
+    for i, colors, exponents in graph.rows():
+        x = verts[i]
+        for j, (c, stored) in enumerate(zip(colors, exponents), i + 1):
+            achieved = shifted_mask_exponent(diff_mask(x, verts[j]), width, vectors[c])
+            if achieved is None:
+                return (i, j, "endpoints are identical points")
+            if achieved > t:
+                return (i, j, f"achieved exponent {achieved} exceeds threshold {t}")
+            if achieved != stored:
+                return (i, j, f"stored exponent {stored}, recomputed {achieved}")
+    return None

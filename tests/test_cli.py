@@ -76,6 +76,8 @@ def _exit_code(argv) -> int:
         (["color", "--k", "2", "--n", "1", "--max-vertices", "4", "--threads", "-3"], 2),
         (["color", "--k", "2", "--n", "1", "--max-vertices", "4", "--threads", "0"], 2),
         (["cliques", "{tmp}", "--threads", "0"], 2),
+        (["color", "--k", "2", "--n", "100000", "--max-vertices", "4"], 2),
+        (["probe", "--n", "100000"], 2),
     ],
 )
 def test_malformed_argv_exits_with_its_code(tmp_path, capsys, argv, code):
@@ -162,6 +164,22 @@ def test_cliques_report_n1_is_pinned(tmp_path):
     assert f"{fnv1a64(out.read_bytes()):016x}" == "43bc3d89ab4e5347"
     assert main(["cliques", str(out), "--out", str(rep)]) == 0
     assert f"{fnv1a64(rep.read_bytes()):016x}" == N1_REPORT_FNV
+
+
+# FNV-1a-64 of the `decg cliques` report on `color --k 4 --n 1
+# --max-vertices 300 --seed 5`, taken from the clique search before the
+# partition hint (about 30 s there).  Four of its nine classes have more
+# symbols than their clique order, so the search there runs unsettled.
+K4_REPORT_FNV = "56e3238a097b6919"
+
+
+def test_cliques_report_k4_is_pinned(tmp_path):
+    out = tmp_path / "g.decg"
+    rep = tmp_path / "r.json"
+    assert main(["color", "--k", "4", "--n", "1", "--max-vertices", "300", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert main(["cliques", str(out), "--out", str(rep)]) == 0
+    assert f"{fnv1a64(rep.read_bytes()):016x}" == K4_REPORT_FNV
 
 
 def test_cliques_single_vertex_graph(tmp_path):
@@ -303,6 +321,9 @@ def _decg_child(*argv):
         (["bounds", "--g", "1000", "--k", "1000"], 2),
         (["bounds", "--g", "100000", "--k", "100000"], 2),
         (["bounds", "--g", "9", "--k", "2", "--c", "1000000000"], 2),
+        (["color", "--k", "2", "--n", "100000", "--max-vertices", "4", "--out", "-"], 2),
+        (["probe", "--n", "100000"], 2),
+        (["probe", "--n", "25"], 2),  # its re-check would scan 9 M cells
     ],
 )
 def test_oversized_argv_is_settled_at_once(argv, code):
@@ -490,6 +511,57 @@ def test_color_and_cliques_manifests_count_hashed_bytes_and_revalidated_edges(tm
         {"bytes_hashed": body},
         {"bytes_hashed": body, "edges_revalidated": q * (q - 1) // 2},
     ]
+
+
+def test_manifest_stages_repeat_their_counters_across_runs_and_threads(tmp_path):
+    runs = []
+    for run, threads in enumerate(("1", "1", "3")):
+        graph, report = tmp_path / f"g{run}.decg", tmp_path / f"r{run}.json"
+        assert main(["color", "--k", "3", "--n", "1", "--max-vertices", "120", "--seed", "3",
+                     "--threads", threads, "--out", str(graph)]) == 0
+        assert main(["cliques", str(graph), "--threads", threads, "--out", str(report)]) == 0
+        manifests = [_validated(Path(f"{path}.manifest.json"), "manifest") for path in (graph, report)]
+        for manifest in manifests:
+            assert sum(s["wall_s"] for s in manifest["stages"]) <= manifest["wall_time_s"]
+        runs.append(json.dumps(
+            [[(s["name"], s["counters"]) for s in m["stages"]] for m in manifests]
+        ).encode())
+    assert runs[0] == runs[1] == runs[2]
+    color, cliques = json.loads(runs[0])
+    q = read_decg(graph).vertex_count
+    assert color == [["points", {"vertices": q}], ["color", {"edges": q * (q - 1) // 2}],
+                     ["write", {}]]
+    assert [name for name, _ in cliques] == ["read", "revalidate", "color_classes", "clique_search"]
+    search = cliques[-1][1]
+    assert search["clique_nodes"] >= search["hint_stops"] >= 1
+
+
+def test_manifests_without_stages_have_no_stages_key(tmp_path):
+    out = tmp_path / "o.json"
+    assert main(["opposite", "--p", "2", "--q", "5", "--out", str(out)]) == 0
+    assert "stages" not in _validated(tmp_path / "o.json.manifest.json", "manifest")
+
+
+def test_color_refuses_patterns_past_the_cell_cap(tmp_path, capsys):
+    # width 63 (3969 cells) is the widest under the 4096-cell cap
+    out = tmp_path / "g.decg"
+    assert main(["color", "--k", "2", "--n", "31", "--max-vertices", "2",
+                 "--out", str(out)]) == 0
+    assert read_decg(out).vertices[0].width == 63
+    capsys.readouterr()
+    assert main(["color", "--k", "2", "--n", "32", "--max-vertices", "2",
+                 "--out", str(tmp_path / "h.decg")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --n 32 makes patterns of 65x65 = 4225 cells, above the cap of 4096\n"
+    )
+
+
+def test_color_refuses_a_huge_universe_by_bit_length(capsys):
+    # 36^3969 is refused by its bit-length floor, without printing the power
+    assert main(["color", "--k", "36", "--n", "31", "--out", "-"]) == 3
+    assert capsys.readouterr().err == (
+        "error: 36^3969 vertices exceeds cap 5000; pass --max-vertices to subsample\n"
+    )
 
 
 def test_stdout_output_with_stderr_manifest(capsys):

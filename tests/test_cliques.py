@@ -10,6 +10,7 @@ import pytest
 import reference
 from decg import (
     CapExceeded,
+    MismatchedSystems,
     PeriodicConfiguration,
     ShiftSystem,
     UnknownColor,
@@ -28,6 +29,7 @@ from decg import (
 )
 from decg.cliques import _degeneracy_order, color_classes
 from decg.colorer import ColoredGraph
+from decg.record import recording, stage
 
 SYSTEM = ShiftSystem(2)
 
@@ -111,6 +113,108 @@ def test_max_clique_agrees_with_networkx(density):
         assert order == expected, (q, density)
         assert len(witness) == order
         assert graph.subgraph(witness).number_of_edges() == order * (order - 1) // 2
+
+
+def _partitioned_graph(rng, q, k, density):
+    """(adjacency, parts, edges): a random graph whose vertices get one of
+    k random labels, with edges only between different labels, so the
+    labels' vertex sets are a proper hint."""
+    label = [rng.randrange(k) for _ in range(q)]
+    edges = [
+        (i, j)
+        for i in range(q)
+        for j in range(i + 1, q)
+        if label[i] != label[j] and rng.random() < density
+    ]
+    parts = [sum(1 << v for v in range(q) if label[v] == s) for s in range(k)]
+    return _adjacency(q, edges), parts, edges
+
+
+def _searched(adjacency, parts=()):
+    """max_clique's result and the counters its search recorded."""
+    with recording() as stages, stage("search"):
+        result = max_clique(adjacency, parts=parts)
+    return result, stages[0]["counters"]
+
+
+def test_max_clique_with_a_proper_hint_matches_the_reference_and_brute_force():
+    settled = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        q = rng.randrange(1, 13)
+        adjacency, parts, edges = _partitioned_graph(
+            rng, q, rng.randrange(1, 5), rng.choice((0.3, 0.7, 1.0))
+        )
+        expected = reference.max_clique(adjacency)
+        assert expected[0] == _brute_force_max_clique(q, edges)
+        assert max_clique(adjacency) == expected, seed
+        (order, witness), counters = _searched(adjacency, parts)
+        assert (order, witness) == expected, seed
+        settled += counters.get("hint_stops", 0)
+    assert settled > 50  # the bound is often tight on these graphs
+
+
+@pytest.mark.parametrize("k", (2, 3, 5))
+def test_max_clique_with_a_proper_hint_agrees_with_networkx(k):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(k)
+    for q in range(1, 41):
+        adjacency, parts, edges = _partitioned_graph(rng, q, k, rng.choice((0.2, 0.6, 0.9)))
+        graph = nx.Graph(edges)
+        graph.add_nodes_from(range(q))
+        _, expected = nx.max_weight_clique(graph, weight=None)
+        order, witness = max_clique(adjacency, parts=parts)
+        assert order == expected, (q, k)
+        assert graph.subgraph(witness).number_of_edges() == order * (order - 1) // 2
+        assert (order, witness) == reference.max_clique(adjacency)
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_max_clique_hint_settles_the_search_early(k):
+    # complete k-partite: the first clique found, down one branch, is a maximum
+    adjacency, parts, _ = _partitioned_graph(random.Random(k), 40, k, 1.0)
+    assert all(parts)
+    (plain, plain_counters), (hinted, counters) = _searched(adjacency), _searched(adjacency, parts)
+    assert plain == hinted == reference.max_clique(adjacency)
+    assert plain[0] == k
+    assert counters == {"clique_nodes": k - 1, "hint_stops": 1}
+    assert plain_counters["clique_nodes"] > k - 1 and "hint_stops" not in plain_counters
+
+
+TRIANGLE_PLUS = _adjacency(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [0b0011, 0b1100],  # the edge {0, 1} lies inside a part: accepted, it would stop at 2
+        [0b0001, 0b0010, 0b0100],  # vertex 3 lies in no part
+        # independent parts, but vertex 3 lies in two: accepted, it would count a hint stop
+        [0b1001, 0b1010, 0b0100],
+        [0b0001, 0b0010, 0b0100, 0b1000, 0b10000],  # a bit past the last vertex
+        [0b0001, 0b0010, -0b0100],  # a negative mask
+        [0b1111],  # one part holding every edge
+    ],
+)
+def test_max_clique_ignores_an_improper_hint(parts):
+    result, counters = _searched(TRIANGLE_PLUS, parts)
+    assert result == reference.max_clique(TRIANGLE_PLUS) == (3, [0, 1, 2])
+    assert "hint_stops" not in counters
+
+
+def test_max_clique_matches_the_reference_on_color_classes():
+    # k = 3 and 4: classes whose clique number can sit below their part count
+    for k, count, seed in ((2, 300, 7), (3, 200, 3), (4, 150, 5)):
+        system = ShiftSystem(k)
+        points = sample_periodic_points(k, 3, count, seed)
+        g = color_graph(system, greedy_separated(system, points, system.epsilon(1)), 1)
+        for c, masks in color_classes(g).items():
+            v = g.colors[c]
+            parts = [
+                sum(1 << i for i, x in enumerate(g.vertices) if x.at(v.x, v.y) == s)
+                for s in range(k)
+            ]
+            assert max_clique(masks, parts=parts) == reference.max_clique(masks), (k, c)
 
 
 def _random_adjacency(rng, q, density):
@@ -318,6 +422,67 @@ def test_revalidate_catches_wrong_stored_exponent():
     bad = revalidate_edges(tampered)
     assert bad is not None
     assert "stored exponent" in bad[2]
+
+
+def _mutated(graph, rng, edits):
+    """The graph with `edits` random edges given a random color and a
+    random stored exponent."""
+    colors, quality = list(graph.edge_colors), list(graph.edge_quality)
+    t = graph.system.threshold_exponent
+    for _ in range(edits):
+        e = rng.randrange(graph.edge_count)
+        if rng.random() < 0.5:
+            colors[e] = rng.randrange(len(graph.colors))
+        if rng.random() < 0.5:
+            quality[e] = rng.choice((0, 1, 2, t, t + 1, rng.randrange(10**6)))
+    return ColoredGraph(
+        graph.system, graph.n, graph.vertices, tuple(colors), tuple(quality), graph.sampled
+    )
+
+
+@pytest.mark.parametrize(("k", "n", "count"), [(2, 1, 40), (3, 1, 30), (4, 2, 20), (2, 3, 25)])
+def test_row_revalidation_reports_the_references_first_bad_edge(k, n, count):
+    system = ShiftSystem(k)
+    points = sample_periodic_points(k, 2 * n + 1, count, seed=k + n)
+    g = color_graph(system, greedy_separated(system, points, system.epsilon(n)), n)
+    assert revalidate_edges(g) is None is reference.revalidate_edges(g)
+    rng = random.Random(k * 100 + n)
+    failures = 0
+    for trial in range(60):
+        bad = _mutated(g, rng, rng.choice((1, 1, 2, 5)))
+        expected = reference.revalidate_edges(bad)
+        assert revalidate_edges(bad) == expected, trial
+        failures += expected is not None
+    assert failures > 30
+
+
+@pytest.mark.parametrize(
+    "colors, exponents, bad",
+    [
+        ((120, 60, 120), (0, 0, 0), (0, 2, "endpoints are identical points")),
+        # the stored exponent is the achieved one, but above the threshold
+        ((60, 120, 120), (5, 0, 0), (0, 1, "achieved exponent 5 exceeds threshold 3")),
+        ((120, 120, 120), (0, 1, 0), (0, 2, "endpoints are identical points")),
+        ((120, 120, 120), (1, 0, 0), (0, 1, "stored exponent 1, recomputed 0")),
+    ],
+)
+def test_row_revalidation_names_each_kind_of_bad_edge(colors, exponents, bad):
+    # vertices 0 and 2 are identical and differ from vertex 1 only at (5, 5);
+    # at n = 5, color 120 is the vector (5, 5) and color 60 is (0, 0)
+    x = PeriodicConfiguration.constant(2, 11)
+    y = x.with_cell(5, 5, 1)
+    g = ColoredGraph(SYSTEM, 5, (x, y, x), colors, exponents)
+    assert revalidate_edges(g) == reference.revalidate_edges(g) == bad
+
+
+@pytest.mark.parametrize("other", [PeriodicConfiguration.constant(2, 5), PeriodicConfiguration.constant(3, 3)])
+def test_revalidation_refuses_vertices_from_different_shifts(other):
+    x = PeriodicConfiguration.constant(2, 3)
+    g = ColoredGraph(SYSTEM, 1, (x, x.with_cell(0, 0, 1), other), (4, 4, 4), (0, 0, 0))
+    with pytest.raises(MismatchedSystems):
+        reference.revalidate_edges(g)
+    with pytest.raises(MismatchedSystems):
+        revalidate_edges(g)
 
 
 def test_opposite_upper_bound_certificates():

@@ -170,3 +170,24 @@ def test_probe_question_raises_when_its_pair_fails_the_recheck(monkeypatch):
     monkeypatch.setattr(decg.metric, "ball_vectors", lambda radius: ball)
     with pytest.raises(InconsistentCertificate, match=f"norm-{s} pair"):
         probe_question(SYSTEM, 4)
+
+
+@pytest.mark.parametrize(
+    ("alpha", "n", "message"),
+    [
+        # (2*25+1)**2 shifts of a 59x59 pair: 9.05 M cells to scan
+        (Fraction(2), 25, "re-check at n = 25 scans 2601 shifts of 3481 cells"),
+        (Fraction(2), 100000, "pair at n = 100000 has 40003600081 cells per pattern"),
+        # t = 141 puts the n = 13 pair at width 2 * 155 + 1
+        (Fraction(101, 100), 13, "pair at n = 13 has 96721 cells per pattern"),
+    ],
+)
+def test_probe_question_refuses_oversized_instances_before_building_them(
+    monkeypatch, alpha, n, message
+):
+    def unreachable(*args):
+        raise AssertionError("a pattern was built")
+
+    monkeypatch.setattr(PeriodicConfiguration, "constant", unreachable)
+    with pytest.raises(ValueError, match=message):
+        probe_question(ShiftSystem(2, alpha), n)
