@@ -216,12 +216,9 @@ def cmd_color(args) -> tuple[dict, dict, dict]:
             f"above the cap of {MAX_PATTERN_CELLS}"
         )
     if args.max_vertices is None:
-        # k**cells >= 2**floor_bits, so a floor past the cap's bit length
-        # refuses without computing the power
-        floor_bits = (args.k.bit_length() - 1) * cells
-        size = args.k**cells if floor_bits <= max(64, args.vertex_cap.bit_length()) else None
-        if size is None or size > args.vertex_cap:
-            shown = f" = {size}" if size is not None and size.bit_length() <= 64 else ""
+        size = args.k**cells
+        if size > args.vertex_cap:
+            shown = f" = {size}" if size.bit_length() <= 64 else ""
             raise CapExceeded(
                 f"{args.k}^{cells}{shown} vertices exceeds cap "
                 f"{args.vertex_cap}; pass --max-vertices to subsample"

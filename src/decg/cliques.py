@@ -3,10 +3,8 @@
 Each color class is searched with an exact branch-and-bound maximum clique
 solver (pivoting, bitset adjacency) whose vertices are seeded in
 degeneracy order.  That order comes from a bucket queue with a
-(degree, index) tie-break, so it costs O(q + m) bitmask updates per class.
-The paper's pigeonhole bound settles each class: splitting its vertices by
-their symbol at the class's color vector is a proper coloring, so the
-search stops at the first clique with one vertex per symbol.
+(degree, index) tie-break, so it costs O(q + m) bitmask updates per class,
+and the paper's pigeonhole bound ends the search early.
 The overall maximum over colors upper-bounds the opposite-Ramsey number of
 the graph's parameters, and the winning clique doubles as a separation
 certificate: shifting its vertices by the winning color must leave them
@@ -56,11 +54,11 @@ def max_clique(
     branch order.  Raises CapExceeded above `cap` vertices.
 
     `parts` is an optional hint: vertex bitmasks that partition the
-    vertices into independent sets.  A clique meets each part at most
-    once, so once the hint passes its check (one AND per vertex) the
-    search stops at the first clique with a vertex in every nonempty
-    part.  That is the clique the full search would report, since it
-    only replaces a witness by a larger one.  An improper hint is ignored.
+    vertices into independent sets, checked with one AND per vertex and
+    ignored if improper.  A clique meets each part at most once, so the
+    search stops at the first clique meeting every nonempty part: the
+    witness the full search reports, as it only replaces a witness by a
+    larger one.
     """
     q = len(adjacency)
     if q == 0:
@@ -284,13 +282,11 @@ class CliqueReport:
 def mono_clique_report(graph: ColoredGraph) -> CliqueReport:
     """Run max_clique on every used color class and certify the winner.
 
-    Each class's search gets the paper's pigeonhole hint: the vertices
-    split by their symbol at the class's color vector.  An edge of color v
-    joins patterns whose first differing site is v, so the split is a
-    proper coloring and no clique of the class outgrows the alphabet.  The
-    hint is read from the raw patterns, and `max_clique` checks it before
-    using it.  The winning clique's image under the winning color's shift
-    is re-checked to be pairwise separated at the 1/(4*alpha) threshold.
+    Each class's search gets the paper's pigeonhole hint, read from the
+    raw patterns: an edge of color v joins patterns that differ at v, so
+    splitting the vertices by their symbol at v is a proper coloring.  The
+    winning clique's image under the winning color's shift is re-checked
+    to be pairwise separated at the 1/(4*alpha) threshold.
     """
     with stage("color_classes"):
         classes = color_classes(graph)
@@ -337,12 +333,12 @@ def revalidate_edges(graph: ColoredGraph):
 
     For each edge {x, y} colored v with stored exponent e, the edge is
     valid when e is at most the threshold and is the exact exponent the
-    pair achieves after shifting by v: its diff mask meets the coset-norm
-    window of radius e around v and, for e > 0, misses the one of radius
-    e - 1.  Row i's diff masks come from one pass over the bit-plane
-    columns.  An edge that fails is re-measured by growing windows around
-    v, which names what is wrong.  Returns None when all edges pass, else
-    (i, j, reason) for the first bad edge.
+    pair achieves after shifting by v.  Row i's diff masks come from one
+    pass over the bit-plane columns.  An edge with e = 0 passes at once
+    when its diff mask meets v's cell; every other edge is measured by
+    growing coset-norm windows around v, which also names what is wrong.
+    Returns None when all edges pass, else (i, j, reason) for the first
+    bad edge.
     """
     # Coset-norm windows, never the colorer's lowest-bit lookup: the two
     # share only the cell numbering, so the check does not repeat the logic
@@ -361,14 +357,7 @@ def revalidate_edges(graph: ColoredGraph):
             own = column[i]
             diffs = [d | own ^ other for d, other in zip(diffs, column[i + 1 :])]
         for j, (diff, c, stored) in enumerate(zip(diffs, colors, exponents), i + 1):
-            if not stored:
-                if diff & sites[c]:
-                    continue
-            elif (
-                stored <= t
-                and diff & window_mask(width, vectors[c], stored)
-                and not diff & window_mask(width, vectors[c], stored - 1)
-            ):
+            if not stored and diff & sites[c]:
                 continue
             achieved = shifted_exponent(diff, width, vectors[c])
             if achieved is None:

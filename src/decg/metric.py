@@ -134,11 +134,6 @@ class Counterexample:
     threshold: ShiftDistance
 
 
-# The most cells the probe's re-check may translate and scan: (2n+1)**2
-# shifts of a (2s+1)**2-cell pair.  n = 20 (alpha 2) scans about 4.0 M.
-MAX_PROBE_SCAN_CELLS = 1 << 23
-
-
 def probe_question(system: ShiftSystem, n: int):
     """The pair with d(x, y) >= alpha**-(n*n) that no |v| <= n separates to
     1/(4*alpha), or None when no such pair exists.
@@ -150,9 +145,9 @@ def probe_question(system: ShiftSystem, n: int):
     at most n + t is recovered by the standard contract, so `None` means
     n + t + 1 > n*n.  The pair is re-verified by translating and scanning
     it, not by the norm arithmetic above; a failed re-check raises
-    InconsistentCertificate.  A pair above MAX_PATTERN_CELLS cells, or a
-    re-check above MAX_PROBE_SCAN_CELLS, raises ValueError before either
-    pattern is built.
+    InconsistentCertificate.  A pair above MAX_PATTERN_CELLS cells raises
+    ValueError before either pattern is built; the cap keeps n <= 28, so
+    the re-check scans at most 57**2 shifts of a 63x63 pair.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -164,11 +159,6 @@ def probe_question(system: ShiftSystem, n: int):
         raise ValueError(
             f"the probe pair at n = {n} has {cells} cells per pattern, "
             f"above the cap of {MAX_PATTERN_CELLS}"
-        )
-    if (2 * n + 1) ** 2 * cells > MAX_PROBE_SCAN_CELLS:
-        raise ValueError(
-            f"the probe re-check at n = {n} scans {(2 * n + 1) ** 2} shifts of "
-            f"{cells} cells, above the cap of {MAX_PROBE_SCAN_CELLS} cells"
         )
     x = PeriodicConfiguration.constant(system.alphabet_size, 2 * s + 1)
     y = x.with_cell(s, 0, 1)

@@ -1,60 +1,50 @@
 """Per-stage wall times and work counters of one run, for its manifest.
 
 `main` wraps each command in `recording()`.  Inside it, code marks its
-layers with `stage(name)` and adds deterministic work counts to the
-innermost open stage with `count(name, k)`.  Outside a recording neither
-call records anything, so library callers pay only the call.
+layers with `stage(name)` and adds deterministic work counts to the open
+stage with `count(name, k)`.  Outside a recording neither call records
+anything, so library callers pay only the call.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
-from contextvars import ContextVar
-from typing import ContextManager, Iterator
+from contextlib import contextmanager
+from typing import Iterator
 
-
-class _Recorder:
-    def __init__(self):
-        self.stages: list[dict] = []  # in start order
-        self.open: list[dict] = []  # the stages that have not ended, innermost last
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        entry = {"name": name, "wall_s": 0.0, "counters": {}}
-        self.stages.append(entry)
-        self.open.append(entry)
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            entry["wall_s"] = round(time.perf_counter() - started, 6)
-            self.open.pop()
-
-
-_active: ContextVar[_Recorder | None] = ContextVar("decg_recorder", default=None)
+_stages: list[dict] | None = None  # the current recording's stages, in start order
+_current: dict | None = None  # the open stage
 
 
 @contextmanager
 def recording() -> Iterator[list[dict]]:
     """Record the stages of the enclosed run into the list it yields:
     `{name, wall_s, counters}` each, in the order they started."""
-    recorder = _Recorder()
-    token = _active.set(recorder)
+    global _stages
+    _stages = []
     try:
-        yield recorder.stages
+        yield _stages
     finally:
-        _active.reset(token)
+        _stages = None
 
 
-def stage(name: str) -> ContextManager[None]:
-    recorder = _active.get()
-    return nullcontext() if recorder is None else recorder.stage(name)
+@contextmanager
+def stage(name: str) -> Iterator[None]:
+    global _current
+    if _stages is None:
+        yield
+        return
+    entry = _current = {"name": name, "wall_s": 0.0, "counters": {}}
+    _stages.append(entry)
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        entry["wall_s"] = round(time.perf_counter() - started, 6)
+        _current = None
 
 
 def count(name: str, k: int = 1) -> None:
-    """Add k to counter `name` of the innermost open stage, if any."""
-    recorder = _active.get()
-    if recorder is not None and recorder.open:
-        counters = recorder.open[-1]["counters"]
-        counters[name] = counters.get(name, 0) + k
+    """Add k to counter `name` of the open stage, if any."""
+    if _current is not None:
+        _current["counters"][name] = _current["counters"].get(name, 0) + k

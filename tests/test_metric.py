@@ -175,8 +175,8 @@ def test_probe_question_raises_when_its_pair_fails_the_recheck(monkeypatch):
 @pytest.mark.parametrize(
     ("alpha", "n", "message"),
     [
-        # (2*25+1)**2 shifts of a 59x59 pair: 9.05 M cells to scan
-        (Fraction(2), 25, "re-check at n = 25 scans 2601 shifts of 3481 cells"),
+        # t = 3 puts the n = 28 pair at width 65, one past the widest
+        (Fraction(2), 28, "pair at n = 28 has 4225 cells per pattern"),
         (Fraction(2), 100000, "pair at n = 100000 has 40003600081 cells per pattern"),
         # t = 141 puts the n = 13 pair at width 2 * 155 + 1
         (Fraction(101, 100), 13, "pair at n = 13 has 96721 cells per pattern"),
@@ -191,3 +191,13 @@ def test_probe_question_refuses_oversized_instances_before_building_them(
     monkeypatch.setattr(PeriodicConfiguration, "constant", unreachable)
     with pytest.raises(ValueError, match=message):
         probe_question(ShiftSystem(2, alpha), n)
+
+
+def test_probe_question_admits_the_widest_pair_under_the_cap(monkeypatch):
+    # n = 27 at alpha 2 builds a 63x63 pair, 3969 cells: it must reach the build
+    def reached(*args):
+        raise LookupError("built")
+
+    monkeypatch.setattr(PeriodicConfiguration, "constant", reached)
+    with pytest.raises(LookupError, match="built"):
+        probe_question(ShiftSystem(2, Fraction(2)), 27)
