@@ -13,9 +13,10 @@ pairwise 1/(4*alpha) apart.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .action import LatticeVector, shift_min_diff, shifted_exponent, window_mask
 from .colorer import ColoredGraph
@@ -27,18 +28,32 @@ from .record import count, stage
 DEFAULT_CLIQUE_CAP = 5000
 
 
-def color_classes(graph: ColoredGraph) -> dict[int, list[int]]:
-    """Adjacency bitmasks of every color class the graph uses, by color
-    index in ascending order, in one pass.  An unused color has no entry."""
+def color_classes(graph: ColoredGraph) -> Callable[[int], list[int]]:
+    """A symmetric q x q matrix of the colors, a byte plane per byte of the
+    typecode, and a function building one class's adjacency masks from it:
+    row v lists the colors of (v, q-1), ..., (v, 0), so v's mask in class c
+    reads as 1 where the row's bytes are c's."""
     q = graph.vertex_count
-    classes = {c: [0] * q for c in sorted(graph.colors_used())}
+    typecode, width = graph.edge_colors.typecode, graph.edge_colors.itemsize
+    planes = [bytearray(q * q) for _ in range(width)]
     for i, colors, _ in graph.rows():
-        bit = 1 << i
-        for j, c in enumerate(colors, i + 1):
-            masks = classes[c]
-            masks[i] |= 1 << j
-            masks[j] |= bit
-    return classes
+        raw = colors.tobytes()
+        for b, plane in enumerate(planes):
+            lane = raw[b::width]
+            plane[i * q : i * q + len(lane)] = lane[::-1]  # the row
+            plane[(i + 1) * q + q - 1 - i :: q] = lane  # its column
+
+    def masks(c: int) -> list[int]:
+        tables = [bytes(48 + (x == b) for x in range(256)) for b in array(typecode, [c]).tobytes()]
+        out = []
+        for v in range(q):
+            mask = ~(1 << v)  # the diagonal reads as color 0
+            for plane, table in zip(planes, tables):
+                mask &= int(plane[v * q : (v + 1) * q].translate(table), 2)
+            out.append(mask)
+        return out
+
+    return masks
 
 
 def max_clique(
@@ -289,15 +304,16 @@ def mono_clique_report(graph: ColoredGraph) -> CliqueReport:
     to be pairwise separated at the 1/(4*alpha) threshold.
     """
     with stage("color_classes"):
-        classes = color_classes(graph)
-        count("classes", len(classes))
+        class_masks = color_classes(graph)
+        used = graph.colors_used()
+        count("classes", len(used))
     entries = []
     with stage("clique_search"):
         for c in range(len(graph.colors)):
             # An unused color's class has no edges: max_clique gives it order 1
             # and witness [0], so it needs neither masks nor a search.
             order, witness = (
-                max_clique(classes[c], parts=_symbol_parts(graph, c)) if c in classes else (1, [0])
+                max_clique(class_masks(c), parts=_symbol_parts(graph, c)) if c in used else (1, [0])
             )
             entries.append(ColorCliqueEntry(c, graph.colors[c], order, tuple(witness)))
     overall = max(e.order for e in entries)

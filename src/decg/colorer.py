@@ -21,9 +21,10 @@ from __future__ import annotations
 import io
 import re
 import struct
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .action import (
     ORIGIN,
@@ -64,9 +65,16 @@ class ColorSet:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be >= 0")
+        if self.n >= 1 << 31:  # no array typecode holds a color index
+            raise ValueError(f"a palette of {(2 * self.n + 1) ** 2} colors exceeds 2**64")
 
     def __len__(self) -> int:
         return (2 * self.n + 1) ** 2
+
+    @property
+    def typecode(self) -> str:
+        """The smallest array typecode that holds every color index."""
+        return next(t for t in "BHIQ" if (2 * self.n + 1) ** 2 <= 1 << 8 * array(t).itemsize)
 
     def __getitem__(self, c: int) -> LatticeVector:
         n, side = self.n, 2 * self.n + 1
@@ -91,15 +99,17 @@ class ColoredGraph:
     """A complete graph with a total edge -> color map and witness metadata.
 
     Edges are stored densely in upper-triangular order (i < j ascending).
-    `edge_quality[e]` is the distance exponent achieved after shifting the
-    endpoints by the edge's color vector; 0 is the best possible.
+    `edge_colors` is an array of the palette's typecode.  `edge_quality`
+    maps an edge's index to the distance exponent achieved after shifting
+    the endpoints by the edge's color vector, where it is not 0 (the best
+    possible).  The constructor also takes both as dense int sequences.
     """
 
     system: ShiftSystem
     n: int
     vertices: tuple[PeriodicConfiguration, ...]
-    edge_colors: tuple[int, ...]
-    edge_quality: tuple[int, ...]
+    edge_colors: Sequence[int]
+    edge_quality: Sequence[int] | dict[int, int]
     sampled: str = "full"
     _checksum: str | None = field(default=None, repr=False, compare=False)
 
@@ -108,8 +118,13 @@ class ColoredGraph:
         if q < 1:
             raise ValueError("graph needs at least one vertex")
         expected = q * (q - 1) // 2
-        if len(self.edge_colors) != expected or len(self.edge_quality) != expected:
+        if not isinstance(self.edge_quality, dict) and len(self.edge_quality) == expected:
+            self.edge_quality = dict(enumerate(self.edge_quality))  # dense
+        if len(self.edge_colors) != expected or not isinstance(self.edge_quality, dict):
             raise ValueError(f"complete graph on {q} vertices needs {expected} edges")
+        self.edge_quality = {e: x for e, x in self.edge_quality.items() if x}
+        if getattr(self.edge_colors, "typecode", None) != (typecode := self.colors.typecode):
+            self.edge_colors = array(typecode, self.edge_colors)
         if not re.fullmatch(r"full|subsampled seed=\d+", self.sampled):
             raise ValueError(f"bad sampled tag {self.sampled!r}")
 
@@ -134,14 +149,16 @@ class ColoredGraph:
     def color_of(self, i: int, j: int) -> int:
         return self.edge_colors[self.edge_index(i, j)]
 
-    def rows(self) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    def rows(self) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
         """Yield (i, colors, exponents) of the edges (i, i+1..q-1) for each
         row i in storage order.  Every row-wise reader of the edges uses this."""
         q = self.vertex_count
+        quality = self.edge_quality
         end = 0
         for i in range(q - 1):
             start, end = end, end + q - 1 - i
-            yield i, self.edge_colors[start:end], self.edge_quality[start:end]
+            exps = [quality.get(e, 0) for e in range(start, end)] if quality else bytes(end - start)
+            yield i, self.edge_colors[start:end], exps
 
     def iter_edges(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (i, j, color index, achieved exponent) in storage order."""
@@ -171,9 +188,10 @@ def color_graph(
     Each edge's color is the witness vector from find_witness: the
     differing site of least norm in scan order, which always achieves
     exponent 0.  A pair with no differing site in the window, which means
-    the input is not alpha**-n-separated, raises NoWitness.  Output is
-    deterministic.
+    the input is not alpha**-n-separated, raises NoWitness, and a palette
+    of more than 2**64 colors raises ValueError.  Output is deterministic.
     """
+    colors = array(ColorSet(n).typecode)
     points = tuple(vertices.points if isinstance(vertices, SeparatedSet) else vertices)
     if not points:
         raise ValueError("graph needs at least one vertex")
@@ -187,7 +205,6 @@ def color_graph(
     vectors = scan_order(width)[0][: window.bit_length()]
     color_of_rank = [ColorSet(n).index_of(v) for v in vectors]
     q = len(points)
-    colors: list[int] = []
     columns = [  # plane j of every vertex, cut to the window
         [plane & window for plane in column] for column in zip(*(p.planes for p in points))
     ]
@@ -204,15 +221,8 @@ def color_graph(
                 "the input set is not separated at alpha**-n",
                 pair=(i, j),
             )
-        colors.extend([color_of_rank[r] for r in row])
-    return ColoredGraph(
-        system=system,
-        n=n,
-        vertices=points,
-        edge_colors=tuple(colors),
-        edge_quality=(0,) * len(colors),
-        sampled=sampled,
-    )
+        colors.fromlist([color_of_rank[r] for r in row])
+    return ColoredGraph(system, n, points, colors, {}, sampled)
 
 
 # --- DECG serialization ----------------------------------------------------
@@ -344,19 +354,18 @@ def _head_piece(graph: ColoredGraph) -> bytes:
 
 def _edge_rows(graph: ColoredGraph) -> Iterator[tuple[int, list[bytes]]]:
     """(i, the tails "c vx vy quality\\n" of the edge lines (i, i+1..q-1))
-    for each row i."""
-    vectors = {c: graph.colors[c] for c in graph.colors_used()}
-    known: dict[tuple[int, int], bytes] = {}  # capped like the reader's, for the same reason
+    for each row i.  An exponent-0 tail is looked up by its color alone."""
+    vectors = graph.colors
+    known: dict[int, bytes] = {}  # exponent-0 tails by color, capped like the reader's
 
-    def tail(key: tuple[int, int]) -> bytes:
-        c, e = key
+    def tail(c: int, e: int) -> bytes:
         text = b"%d %d %d %d\n" % (c, *vectors[c], e)
-        if len(known) < _CHECKED_TAILS_CAP:
-            known[key] = text
+        if not e and len(known) < _CHECKED_TAILS_CAP:
+            known[c] = text
         return text
 
-    for i, colors, exponents in graph.rows():
-        yield i, [known.get(key) or tail(key) for key in zip(colors, exponents)]
+    for i, colors, exps in graph.rows():
+        yield i, [tail(c, e) if e else known.get(c) or tail(c, 0) for c, e in zip(colors, exps)]
 
 
 def _signed_pieces(graph: ColoredGraph) -> Iterator[bytes]:
@@ -436,39 +445,40 @@ def _edge_fields(line_no: int, raw: bytes, i: int, j: int, colors: ColorSet) -> 
     return c, quality
 
 
-def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[tuple, tuple, int]:
+def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[int, int], int]:
     """The edge lines of a q-vertex body, checked and hashed one row at a
-    time: (colors, achieved exponents, the hash continued from `state`).
-
-    An edge line whose prefix is "e i j " and whose tail was already
-    checked on an earlier line passes the same checks, so it skips them.
-    Either way an accepted line is exactly that prefix and its tail, which
-    is what the row's step tables hash.
+    time: (colors, nonzero achieved exponents by edge index, the hash
+    continued from `state`).  A row whose lines all start "e i j " and end
+    in exponent-0 tails checked on earlier lines passes in C-level passes;
+    any other row is checked line by line, which names its first bad line.
+    Either way an accepted line is exactly its prefix and its tail, which
+    the row's step tables hash.
     """
-    checked: dict[bytes, tuple[int, int]] = {}
+    checked: dict[bytes, int] = {}  # exponent-0 tail -> color index
     hasher = _EdgeHasher()
-    edge_colors: list[int] = []
-    edge_quality: list[int] = []
+    edge_colors = array(colors.typecode)
+    edge_quality: dict[int, int] = {}
     readline = fh.readline
-    line_no = 4 + q
+    indices = [b"%d " % j for j in range(q)]
     for i in range(q - 1):
-        tails: list[bytes] = []
-        for j in range(i + 1, q):
-            line_no += 1
-            raw = readline()
-            prefix = b"e %d %d " % (i, j)
-            tail = raw[len(prefix) :]
-            fields = checked.get(tail) if raw.startswith(prefix) else None
-            if fields is None:
-                fields = _edge_fields(line_no, raw, i, j, colors)
-                if len(checked) < _CHECKED_TAILS_CAP:
-                    checked[tail] = fields
-            edge_colors.append(fields[0])
-            edge_quality.append(fields[1])
-            tails.append(tail)
+        heads = list(map((b"e %d " % i).__add__, indices[i + 1 :]))  # "e i j "
+        lines = [readline() for _ in heads]
+        tails = list(map(bytes.removeprefix, lines, heads))
+        row = list(map(checked.get, tails)) if all(map(bytes.startswith, lines, heads)) else [None]
+        if None in row:
+            row = []
+            for k, (raw, head, tail) in enumerate(zip(lines, heads, tails)):
+                c = checked.get(tail) if raw.startswith(head) else None
+                if c is None:
+                    c, e = _edge_fields(5 + q + len(edge_colors) + k, raw, i, i + 1 + k, colors)
+                    if e:
+                        edge_quality[len(edge_colors) + k] = e
+                    elif len(checked) < _CHECKED_TAILS_CAP:
+                        checked[tail] = c
+                row.append(c)
+        edge_colors.fromlist(row)
         state = hasher.row(state, i, tails)
-    edge_colors = tuple(edge_colors)  # rebound, so each list is freed once copied
-    return edge_colors, tuple(edge_quality), state
+    return edge_colors, edge_quality, state
 
 
 def read_decg(source) -> ColoredGraph:
@@ -519,7 +529,10 @@ def _read_lines(fh) -> ColoredGraph:
         _fail(4, "vertex count must be positive")
     if palette != (2 * n + 1) ** 2:
         _fail(4, f"colors {palette} does not equal (2n+1)^2 = {(2 * n + 1) ** 2}")
-    colors = ColorSet(n)
+    try:
+        colors = ColorSet(n)
+    except ValueError as exc:
+        _fail(4, str(exc))
 
     # q is untrusted until its vertex lines have been read: nothing is sized by it.
     vertices: list[PeriodicConfiguration] = []

@@ -208,7 +208,9 @@ def test_max_clique_matches_the_reference_on_color_classes():
         system = ShiftSystem(k)
         points = sample_periodic_points(k, 3, count, seed)
         g = color_graph(system, greedy_separated(system, points, system.epsilon(1)), 1)
-        for c, masks in color_classes(g).items():
+        class_masks = color_classes(g)
+        for c in sorted(g.colors_used()):
+            masks = class_masks(c)
             v = g.colors[c]
             parts = [
                 sum(1 << i for i, x in enumerate(g.vertices) if x.at(v.x, v.y) == s)
@@ -249,18 +251,33 @@ def _shift_graph(n, max_vertices=None):
 def test_degeneracy_order_matches_reference_on_color_classes(n, max_vertices):
     g = _shift_graph(n, max_vertices)
     assert g.vertex_count == (512 if max_vertices is None else max_vertices)
-    for c, masks in color_classes(g).items():
+    class_masks = color_classes(g)
+    for c in sorted(g.colors_used()):
+        masks = class_masks(c)
         assert _degeneracy_order(masks) == reference.degeneracy_order(masks), c
 
 
 @pytest.mark.parametrize(("n", "max_vertices"), [(1, None), (2, 200)])
 def test_color_classes_match_color_class_adjacency(n, max_vertices):
     g = _shift_graph(n, max_vertices)
-    classes = color_classes(g)
-    assert list(classes) == sorted(g.colors_used())
-    for c in range(len(g.colors)):  # an unused color has no entry and no edges
-        masks = classes.get(c, [0] * g.vertex_count)
-        assert masks == reference.color_class_adjacency(g, c), c
+    class_masks = color_classes(g)
+    for c in range(len(g.colors)):  # an unused color's class has no edges
+        assert class_masks(c) == reference.color_class_adjacency(g, c), c
+
+
+@pytest.mark.parametrize(
+    ("n", "width", "count", "typecode"), [(1, 3, 60, "B"), (2, 5, 150, "B"), (40, 5, 80, "H")]
+)
+def test_class_masks_match_the_one_pass_build(n, width, count, typecode):
+    # palettes 9, 25 and 6561: one byte plane, and two (color indices near
+    # 3280 = 0x0cd0, so both bytes vary)
+    pts = sample_periodic_points(2, width, count, seed=n)
+    g = color_graph(SYSTEM, greedy_separated(SYSTEM, pts, SYSTEM.epsilon(width // 2)), n)
+    assert g.edge_colors.typecode == typecode
+    expected = reference.color_classes(g)
+    class_masks = color_classes(g)
+    for c in range(len(g.colors)):
+        assert class_masks(c) == expected.get(c, [0] * g.vertex_count), c
 
 
 def _k16():
@@ -409,14 +426,14 @@ def test_revalidate_catches_tampering():
 
 def test_revalidate_catches_wrong_stored_exponent():
     g = _k16()
-    quality = list(g.edge_quality)
+    quality = dict(g.edge_quality)
     quality[5] = 1
     tampered = ColoredGraph(
         system=g.system,
         n=g.n,
         vertices=g.vertices,
         edge_colors=g.edge_colors,
-        edge_quality=tuple(quality),
+        edge_quality=quality,
         sampled=g.sampled,
     )
     bad = revalidate_edges(tampered)
@@ -427,7 +444,7 @@ def test_revalidate_catches_wrong_stored_exponent():
 def _mutated(graph, rng, edits):
     """The graph with `edits` random edges given a random color and a
     random stored exponent."""
-    colors, quality = list(graph.edge_colors), list(graph.edge_quality)
+    colors, quality = list(graph.edge_colors), dict(graph.edge_quality)
     t = graph.system.threshold_exponent
     for _ in range(edits):
         e = rng.randrange(graph.edge_count)
@@ -436,7 +453,7 @@ def _mutated(graph, rng, edits):
         if rng.random() < 0.5:
             quality[e] = rng.choice((0, 1, 2, t, t + 1, rng.randrange(10**6)))
     return ColoredGraph(
-        graph.system, graph.n, graph.vertices, tuple(colors), tuple(quality), graph.sampled
+        graph.system, graph.n, graph.vertices, tuple(colors), quality, graph.sampled
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for the edge colorer and the DECG file format."""
 
+import functools
 import gc
 import random
 import tracemalloc
@@ -95,7 +96,7 @@ def test_single_edge_graph():
     g = color_graph(SYSTEM, [x, y], 1)
     assert g.edge_count == 1
     assert g.colors[g.color_of(0, 1)] == LatticeVector(-1, 1)
-    assert g.edge_quality == (0,)
+    assert g.edge_quality == {}  # no edge above exponent 0
 
 
 def test_mini_pipeline_k16():
@@ -384,10 +385,12 @@ def test_decg_reader_and_writer_memory_grows_with_edges_not_text(tmp_path, monke
     n = 1 graph (512 vertices, 130 816 edges, a 2.4 MB file).
 
     Measured on CPython 3.11: write_decg peaks at 0.44 MB (3.3 B/edge) and
-    read_decg at 3.8 MB (29.2 B/edge), mostly the graph's two edge tuples.
-    Both include the hasher's step tables, about 130 tables of 2 KB.  The
-    whole-text writer and reader that streaming replaced peaked at 22.2 MB
-    (170 B/edge) and 19.4 MB (148 B/edge).
+    read_decg at 0.69 MB (5.3 B/edge), the color array (1 B/edge), the
+    vertices and the step tables; it peaked at 3.8 MB (29.2 B/edge) while
+    the edges were two tuples of ints.  Both include the hasher's step
+    tables, about 130 tables of 2 KB.  The whole-text writer and reader
+    that streaming replaced peaked at 22.2 MB (170 B/edge) and 19.4 MB
+    (148 B/edge).
 
     tracemalloc traces every int the step arithmetic makes, which would
     cost several seconds per call, so a CRC-32 of each row stands in for
@@ -402,3 +405,111 @@ def test_decg_reader_and_writer_memory_grows_with_edges_not_text(tmp_path, monke
     read = _peak_traced_bytes(lambda: read_decg(path))
     assert written < 8 * graph.edge_count
     assert read < 64 * graph.edge_count
+
+
+@functools.cache
+def _w2_shaped_graph():
+    """The graph of `decg color --k 2 --n 2 --max-vertices 400 --seed 7`
+    (W2 at 400 of its 1000 vertices, 79 800 edges), and its DECG text."""
+    g = color_graph(SYSTEM, sample_periodic_points(2, 5, 400, seed=7), 2, "subsampled seed=7")
+    assert g.vertex_count == 400
+    return g, decg_dumps(g).encode()
+
+
+def test_read_decg_holds_an_edge_in_a_byte_or_two(tmp_path, monkeypatch):
+    """Peak traced allocation of read_decg on a 400-vertex n = 2 graph.
+
+    Measured on CPython 3.11: 0.64 MB, 8.1 B/edge, of which the color
+    array is 1 B/edge and the rest is the vertices, the step tables and
+    one row's lines.  Edges held as two tuples of ints (16 B/edge), built
+    through lists, peaked at 2.56 MB (32.1 B/edge), so the bound fails
+    them.
+    """
+    monkeypatch.setattr(colorer._EdgeHasher, "_steps", _crc32_steps)
+    g, data = _w2_shaped_graph()
+    path = tmp_path / "g.decg"
+    path.write_bytes(data)
+    assert read_decg(path).edge_colors.typecode == "B"
+    assert _peak_traced_bytes(lambda: read_decg(path)) < 16 * g.edge_count
+
+
+def test_nonzero_exponents_round_trip():
+    g = _graph(5, 2, count=40)
+    quality = {0: 1, 7: 255, 8: 256, 9: 2**70, g.edge_count - 1: 3}
+    h = ColoredGraph(g.system, g.n, g.vertices, g.edge_colors, quality)
+    assert h == ColoredGraph(
+        g.system, g.n, g.vertices, tuple(g.edge_colors),
+        tuple(quality.get(e, 0) for e in range(g.edge_count)),
+    )
+    data = decg_dumps(h).encode()
+    back = read_decg(data)
+    assert back == h == reference.read_decg(data)
+    assert back.edge_quality == quality
+    assert [e for *_, e in back.iter_edges()] == [quality.get(e, 0) for e in range(g.edge_count)]
+    assert decg_dumps(back).encode() == data
+
+
+def _mutations(data: bytes):
+    """(name, mutated DECG text) pairs, each edit in a different row.  Only
+    the edits that leave a readable file are signed again."""
+    lines = data.split(b"\n")
+
+    def at(i: int, j: int) -> int:  # the index in `lines` of edge line (i, j)
+        return 4 + 400 + i * (2 * 400 - i - 1) // 2 + (j - i - 1)
+
+    def edit(i: int, j: int, new: bytes, resign: bool = False) -> bytes:
+        out = list(lines)
+        out[at(i, j)] = new
+        if not resign:
+            return b"\n".join(out)
+        body = b"".join(line + b"\n" for line in out[:-2])  # out[-2] is the end line
+        return body + b"end %016x\n" % fnv1a64(body)
+
+    tail = lines[at(40, 44)].split(b" ", 3)[3]
+    yield "tail only", edit(40, 44, tail)
+    yield "wrong j", edit(45, 100, lines[at(45, 100)].replace(b" 100 ", b" 101 "))
+    yield "wrong i", edit(50, 100, lines[at(50, 100)].replace(b"e 50 ", b"e 51 "))
+    yield "non-UTF-8", edit(55, 57, lines[at(55, 57)] + b"\xff")
+    yield "unseen exponent", edit(200, 201, lines[at(200, 201)] + b"9", resign=True)
+    yield "exponent above 255", edit(210, 216, lines[at(210, 216)][:-1] + b"300", resign=True)
+    yield "unseen exponent, unsigned", edit(60, 61, lines[at(60, 61)] + b"1")
+    fields = lines[at(65, 67)].split(b" ")
+    fields[4] = b"%d" % (int(fields[4]) + 1)  # vx
+    yield "vector mismatch", edit(65, 67, b" ".join(fields))
+    yield "duplicated line", b"\n".join(lines[: at(70, 71)] + lines[at(70, 71) - 1 :])
+    yield "dropped line", b"\n".join(lines[: at(75, 80)] + lines[at(75, 80) + 1 :])
+    yield "truncated mid-row", b"\n".join(lines[: at(80, 350)])
+    yield "missing final newline", b"\n".join(lines[: at(85, 355) + 1])
+
+
+def _outcome(data: bytes):
+    try:
+        return read_decg(data)
+    except (BadFormat, ChecksumMismatch) as exc:
+        return type(exc).__name__, str(exc)  # BadFormat's text is "line N: message"
+
+
+def test_batched_reader_matches_the_line_reader(monkeypatch):
+    mutations = list(_mutations(_w2_shaped_graph()[1]))
+    batched = {name: _outcome(mutated) for name, mutated in mutations}
+    monkeypatch.setattr(colorer, "_read_edges", reference.read_edges)
+    lined = {name: _outcome(mutated) for name, mutated in mutations}
+    assert batched == lined
+    # edge line (40, 44) is line 5 + 400 + 40 * 759 // 2 + 3 of the file
+    assert batched["tail only"] == ("BadFormat", "line 15588: malformed edge line")
+    assert batched["exponent above 255"].edge_quality == {210 * 589 // 2 + 5: 300}  # (210, 216)
+    read = [name for name, outcome in batched.items() if isinstance(outcome, ColoredGraph)]
+    assert read == ["unseen exponent", "exponent above 255"]
+
+
+def test_palette_past_2_64_colors_is_refused():
+    # (2n + 1)^2 > 2**64 exactly when n >= 2**31: no array typecode holds it
+    with pytest.raises(ValueError, match="colors exceeds 2\\*\\*64"):
+        color_graph(SYSTEM, [PeriodicConfiguration.constant(2, 3)], 2**31)
+    g = color_graph(SYSTEM, [PeriodicConfiguration.constant(2, 3)], 2**31 - 1)
+    assert g.edge_colors.typecode == "Q"
+    for n, line_no in ((2**31, 4), (2**31 - 1, 5)):
+        header = b"decg 1\nsystem shift k=2 alpha=2/1\nn %d\nvertices 1  colors %d  sampled full\n"
+        with pytest.raises(BadFormat) as info:
+            read_decg(header % (n, (2 * n + 1) ** 2))
+        assert info.value.line_no == line_no  # the body is missing
