@@ -305,8 +305,7 @@ def mono_clique_report(graph: ColoredGraph) -> CliqueReport:
     """
     with stage("color_classes"):
         class_masks = color_classes(graph)
-        used = graph.colors_used()
-        count("classes", len(used))
+        count("classes", len(used := graph.colors_used()))
     entries = []
     with stage("clique_search"):
         for c in range(len(graph.colors)):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import re
 import struct
+import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,8 +66,8 @@ class ColorSet:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be >= 0")
-        if self.n >= 1 << 31:  # no array typecode holds a color index
-            raise ValueError(f"a palette of {(2 * self.n + 1) ** 2} colors exceeds 2**64")
+        if (2 * self.n + 1) ** 2 > sys.maxsize:  # len() and the arrays cannot hold it
+            raise ValueError(f"a palette of {(2 * self.n + 1) ** 2} colors exceeds {sys.maxsize}")
 
     def __len__(self) -> int:
         return (2 * self.n + 1) ** 2
@@ -98,18 +99,17 @@ class ColorSet:
 class ColoredGraph:
     """A complete graph with a total edge -> color map and witness metadata.
 
-    Edges are stored densely in upper-triangular order (i < j ascending).
-    `edge_colors` is an array of the palette's typecode.  `edge_quality`
+    Edges are stored densely in upper-triangular order (i < j ascending),
+    their colors in an array of the palette's typecode.  `edge_quality`
     maps an edge's index to the distance exponent achieved after shifting
-    the endpoints by the edge's color vector, where it is not 0 (the best
-    possible).  The constructor also takes both as dense int sequences.
+    the endpoints by its color vector, where that is not 0 (the best).
     """
 
     system: ShiftSystem
     n: int
     vertices: tuple[PeriodicConfiguration, ...]
-    edge_colors: Sequence[int]
-    edge_quality: Sequence[int] | dict[int, int]
+    edge_colors: array
+    edge_quality: dict[int, int]
     sampled: str = "full"
     _checksum: str | None = field(default=None, repr=False, compare=False)
 
@@ -118,13 +118,15 @@ class ColoredGraph:
         if q < 1:
             raise ValueError("graph needs at least one vertex")
         expected = q * (q - 1) // 2
-        if not isinstance(self.edge_quality, dict) and len(self.edge_quality) == expected:
-            self.edge_quality = dict(enumerate(self.edge_quality))  # dense
-        if len(self.edge_colors) != expected or not isinstance(self.edge_quality, dict):
+        if len(self.edge_colors) != expected:
             raise ValueError(f"complete graph on {q} vertices needs {expected} edges")
-        self.edge_quality = {e: x for e, x in self.edge_quality.items() if x}
-        if getattr(self.edge_colors, "typecode", None) != (typecode := self.colors.typecode):
-            self.edge_colors = array(typecode, self.edge_colors)
+        typecode = self.colors.typecode
+        if not isinstance(self.edge_colors, array) or self.edge_colors.typecode != typecode:
+            raise ValueError(f"edge colors must be an array of typecode {typecode!r}")
+        if not isinstance(self.edge_quality, dict) or not all(
+            0 <= e < expected and x > 0 for e, x in self.edge_quality.items()
+        ):
+            raise ValueError(f"edge quality must map edge indices below {expected} to exponents >= 1")
         if not re.fullmatch(r"full|subsampled seed=\d+", self.sampled):
             raise ValueError(f"bad sampled tag {self.sampled!r}")
 
@@ -189,7 +191,7 @@ def color_graph(
     differing site of least norm in scan order, which always achieves
     exponent 0.  A pair with no differing site in the window, which means
     the input is not alpha**-n-separated, raises NoWitness, and a palette
-    of more than 2**64 colors raises ValueError.  Output is deterministic.
+    of more than sys.maxsize colors raises ValueError.  Output is deterministic.
     """
     colors = array(ColorSet(n).typecode)
     points = tuple(vertices.points if isinstance(vertices, SeparatedSet) else vertices)
@@ -447,36 +449,35 @@ def _edge_fields(line_no: int, raw: bytes, i: int, j: int, colors: ColorSet) -> 
 
 def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[int, int], int]:
     """The edge lines of a q-vertex body, checked and hashed one row at a
-    time: (colors, nonzero achieved exponents by edge index, the hash
-    continued from `state`).  A row whose lines all start "e i j " and end
-    in exponent-0 tails checked on earlier lines passes in C-level passes;
-    any other row is checked line by line, which names its first bad line.
-    Either way an accepted line is exactly its prefix and its tail, which
-    the row's step tables hash.
+    time: (colors, nonzero exponents by edge index, the continued `state`).
+
+    An edge line whose prefix is "e i j " and whose tail was already
+    checked on an earlier line passes the same checks, so it skips them.
+    Either way an accepted line is exactly that prefix and its tail, which
+    is what the row's step tables hash.
     """
-    checked: dict[bytes, int] = {}  # exponent-0 tail -> color index
+    checked: dict[bytes, tuple[int, int]] = {}
     hasher = _EdgeHasher()
     edge_colors = array(colors.typecode)
     edge_quality: dict[int, int] = {}
     readline = fh.readline
-    indices = [b"%d " % j for j in range(q)]
+    line_no = 4 + q
     for i in range(q - 1):
-        heads = list(map((b"e %d " % i).__add__, indices[i + 1 :]))  # "e i j "
-        lines = [readline() for _ in heads]
-        tails = list(map(bytes.removeprefix, lines, heads))
-        row = list(map(checked.get, tails)) if all(map(bytes.startswith, lines, heads)) else [None]
-        if None in row:
-            row = []
-            for k, (raw, head, tail) in enumerate(zip(lines, heads, tails)):
-                c = checked.get(tail) if raw.startswith(head) else None
-                if c is None:
-                    c, e = _edge_fields(5 + q + len(edge_colors) + k, raw, i, i + 1 + k, colors)
-                    if e:
-                        edge_quality[len(edge_colors) + k] = e
-                    elif len(checked) < _CHECKED_TAILS_CAP:
-                        checked[tail] = c
-                row.append(c)
-        edge_colors.fromlist(row)
+        tails: list[bytes] = []
+        for j in range(i + 1, q):
+            line_no += 1
+            raw = readline()
+            prefix = b"e %d %d " % (i, j)
+            tail = raw[len(prefix) :]
+            fields = checked.get(tail) if raw.startswith(prefix) else None
+            if fields is None:
+                fields = _edge_fields(line_no, raw, i, j, colors)
+                if len(checked) < _CHECKED_TAILS_CAP:
+                    checked[tail] = fields
+            edge_colors.append(fields[0])
+            if fields[1]:
+                edge_quality[line_no - 5 - q] = fields[1]
+            tails.append(tail)
         state = hasher.row(state, i, tails)
     return edge_colors, edge_quality, state
 

@@ -15,13 +15,13 @@ one replaced, and `probe_question` the norm-range search that the probe's
 single construction replaced.  `max_clique` is the clique search before
 it took a partition hint and relabelled rows lazily, and
 `revalidate_edges` the edge check before it built diff masks a row at a
-time and tested each stored exponent with two windows.  `read_edges` is
-the DECG edge reader that checked one line at a time before edges were
-held in arrays, and `color_classes` the one-pass build of every class's
-masks that the byte matrix replaced.
+time and tested each stored exponent with two windows.  `color_classes`
+is the one-pass build of every class's masks that the byte matrix
+replaced.
 """
 
 import re
+from array import array
 from fractions import Fraction
 
 from decg import (
@@ -42,7 +42,6 @@ from decg import (
     shift_min_diff,
 )
 from decg.action import diff_mask, shifted_exponent as shifted_mask_exponent
-from decg.colorer import _CHECKED_TAILS_CAP, _EdgeHasher, _edge_fields
 from decg.cliques import _degeneracy_order
 from decg.ramsey import edge_list
 
@@ -424,8 +423,8 @@ def read_decg(source) -> ColoredGraph:
         system=system,
         n=n,
         vertices=tuple(vertices),
-        edge_colors=tuple(edge_colors),
-        edge_quality=tuple(edge_quality),
+        edge_colors=array(colors.typecode, edge_colors),
+        edge_quality={e: x for e, x in enumerate(edge_quality) if x},
         sampled=sampled,
         _checksum=stored,
     )
@@ -531,46 +530,7 @@ def revalidate_edges(graph: ColoredGraph):
     return None
 
 
-# --- the edge reader and class build before edges were held in arrays ----------
-#
-# `read_edges` checks and hashes one line at a time; it drops into
-# `decg.colorer._read_lines` in place of the batched reader.  `color_classes`
-# builds every class's masks in one pass over the edges.
-
-
-def read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[tuple, tuple, int]:
-    """The edge lines of a q-vertex body, checked and hashed one row at a
-    time: (colors, achieved exponents, the hash continued from `state`).
-
-    An edge line whose prefix is "e i j " and whose tail was already
-    checked on an earlier line passes the same checks, so it skips them.
-    Either way an accepted line is exactly that prefix and its tail, which
-    is what the row's step tables hash.
-    """
-    checked: dict[bytes, tuple[int, int]] = {}
-    hasher = _EdgeHasher()
-    edge_colors: list[int] = []
-    edge_quality: list[int] = []
-    readline = fh.readline
-    line_no = 4 + q
-    for i in range(q - 1):
-        tails: list[bytes] = []
-        for j in range(i + 1, q):
-            line_no += 1
-            raw = readline()
-            prefix = b"e %d %d " % (i, j)
-            tail = raw[len(prefix) :]
-            fields = checked.get(tail) if raw.startswith(prefix) else None
-            if fields is None:
-                fields = _edge_fields(line_no, raw, i, j, colors)
-                if len(checked) < _CHECKED_TAILS_CAP:
-                    checked[tail] = fields
-            edge_colors.append(fields[0])
-            edge_quality.append(fields[1])
-            tails.append(tail)
-        state = hasher.row(state, i, tails)
-    edge_colors = tuple(edge_colors)  # rebound, so each list is freed once copied
-    return edge_colors, tuple(edge_quality), state
+# --- the class build before the byte matrix ---------------------------------
 
 
 def color_classes(graph: ColoredGraph) -> dict[int, list[int]]:

@@ -113,16 +113,17 @@ def test_cliques_huge_palette_header_exits_5_in_flat_memory(tmp_path):
     assert proc.stderr.startswith("error: line 5: ")
 
 
-def test_cliques_palette_past_2_64_colors_exits_5_at_its_header(tmp_path, capsys):
-    # n = 2**31 colors K_q with (2**32 + 1)**2 colors: no array typecode holds
-    # an index, and the report would need an entry for each
+@pytest.mark.parametrize("n", [2**31 - 1, 2**31])
+def test_cliques_palette_past_sys_maxsize_exits_5_at_its_header(tmp_path, capsys, n):
+    # (2n + 1)**2 colors: past sys.maxsize, len() cannot count the palette,
+    # and the report would need an entry for each
     path = tmp_path / "h.decg"
     path.write_bytes(
-        b"decg 1\nsystem shift k=2 alpha=2/1\nn 2147483648\n"
-        b"vertices 2  colors 18446744082299486209  sampled full\n"
+        b"decg 1\nsystem shift k=2 alpha=2/1\nn %d\nvertices 2  colors %d  sampled full\n"
+        % (n, (2 * n + 1) ** 2)
     )
     assert main(["cliques", str(path)]) == 5
-    assert capsys.readouterr().err.startswith("error: line 4: a palette of 18446744082299486209")
+    assert capsys.readouterr().err.startswith(f"error: line 4: a palette of {(2 * n + 1) ** 2}")
 
 
 def test_color_and_cliques_happy_path(tmp_path, capsys):

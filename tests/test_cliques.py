@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+from array import array
 
 import pytest
 
@@ -331,7 +332,7 @@ X11 = PeriodicConfiguration.constant(2, 11)
 )
 def test_certificate_on_hand_built_graphs(vertices, certificate):
     edges = len(vertices) * (len(vertices) - 1) // 2
-    g = ColoredGraph(SYSTEM, 0, vertices, (0,) * edges, (0,) * edges)  # every edge (0, 0)
+    g = ColoredGraph(SYSTEM, 0, vertices, array("B", bytes(edges)), {})  # every edge (0, 0)
     report = mono_clique_report(g)
     assert (report.attained_exponent, report.separation_passed) == certificate
 
@@ -403,7 +404,7 @@ def test_revalidate_passes_honest_graph():
 
 def test_revalidate_catches_tampering():
     g = _k16()
-    bad_colors = list(g.edge_colors)
+    bad_colors = g.edge_colors[:]
     # point edge 0 at a vector where its endpoints happen to agree
     i, j = 0, 1
     ci, cj = g.vertices[i], g.vertices[j]
@@ -415,7 +416,7 @@ def test_revalidate_catches_tampering():
         system=g.system,
         n=g.n,
         vertices=g.vertices,
-        edge_colors=tuple(bad_colors),
+        edge_colors=bad_colors,
         edge_quality=g.edge_quality,
         sampled=g.sampled,
     )
@@ -444,7 +445,7 @@ def test_revalidate_catches_wrong_stored_exponent():
 def _mutated(graph, rng, edits):
     """The graph with `edits` random edges given a random color and a
     random stored exponent."""
-    colors, quality = list(graph.edge_colors), dict(graph.edge_quality)
+    colors, quality = graph.edge_colors[:], dict(graph.edge_quality)
     t = graph.system.threshold_exponent
     for _ in range(edits):
         e = rng.randrange(graph.edge_count)
@@ -452,9 +453,8 @@ def _mutated(graph, rng, edits):
             colors[e] = rng.randrange(len(graph.colors))
         if rng.random() < 0.5:
             quality[e] = rng.choice((0, 1, 2, t, t + 1, rng.randrange(10**6)))
-    return ColoredGraph(
-        graph.system, graph.n, graph.vertices, tuple(colors), quality, graph.sampled
-    )
+    quality = {e: x for e, x in quality.items() if x}  # stored sparsely
+    return ColoredGraph(graph.system, graph.n, graph.vertices, colors, quality, graph.sampled)
 
 
 @pytest.mark.parametrize(("k", "n", "count"), [(2, 1, 40), (3, 1, 30), (4, 2, 20), (2, 3, 25)])
@@ -476,11 +476,11 @@ def test_row_revalidation_reports_the_references_first_bad_edge(k, n, count):
 @pytest.mark.parametrize(
     "colors, exponents, bad",
     [
-        ((120, 60, 120), (0, 0, 0), (0, 2, "endpoints are identical points")),
+        ((120, 60, 120), {}, (0, 2, "endpoints are identical points")),
         # the stored exponent is the achieved one, but above the threshold
-        ((60, 120, 120), (5, 0, 0), (0, 1, "achieved exponent 5 exceeds threshold 3")),
-        ((120, 120, 120), (0, 1, 0), (0, 2, "endpoints are identical points")),
-        ((120, 120, 120), (1, 0, 0), (0, 1, "stored exponent 1, recomputed 0")),
+        ((60, 120, 120), {0: 5}, (0, 1, "achieved exponent 5 exceeds threshold 3")),
+        ((120, 120, 120), {1: 1}, (0, 2, "endpoints are identical points")),
+        ((120, 120, 120), {0: 1}, (0, 1, "stored exponent 1, recomputed 0")),
     ],
 )
 def test_row_revalidation_names_each_kind_of_bad_edge(colors, exponents, bad):
@@ -488,14 +488,14 @@ def test_row_revalidation_names_each_kind_of_bad_edge(colors, exponents, bad):
     # at n = 5, color 120 is the vector (5, 5) and color 60 is (0, 0)
     x = PeriodicConfiguration.constant(2, 11)
     y = x.with_cell(5, 5, 1)
-    g = ColoredGraph(SYSTEM, 5, (x, y, x), colors, exponents)
+    g = ColoredGraph(SYSTEM, 5, (x, y, x), array("B", colors), exponents)
     assert revalidate_edges(g) == reference.revalidate_edges(g) == bad
 
 
 @pytest.mark.parametrize("other", [PeriodicConfiguration.constant(2, 5), PeriodicConfiguration.constant(3, 3)])
 def test_revalidation_refuses_vertices_from_different_shifts(other):
     x = PeriodicConfiguration.constant(2, 3)
-    g = ColoredGraph(SYSTEM, 1, (x, x.with_cell(0, 0, 1), other), (4, 4, 4), (0, 0, 0))
+    g = ColoredGraph(SYSTEM, 1, (x, x.with_cell(0, 0, 1), other), array("B", (4, 4, 4)), {})
     with pytest.raises(MismatchedSystems):
         reference.revalidate_edges(g)
     with pytest.raises(MismatchedSystems):

@@ -3,8 +3,10 @@
 import functools
 import gc
 import random
+import sys
 import tracemalloc
 import zlib
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -255,7 +257,9 @@ def test_write_decg_and_checksum_match_decg_dumps(tmp_path, graph):
 
 
 def _with_exponents(g, quality):
-    return ColoredGraph(g.system, g.n, g.vertices, g.edge_colors, tuple(quality))
+    return ColoredGraph(
+        g.system, g.n, g.vertices, g.edge_colors, {e: x for e, x in enumerate(quality) if x}
+    )
 
 
 def _distinct_tail_graph():
@@ -385,7 +389,7 @@ def test_decg_reader_and_writer_memory_grows_with_edges_not_text(tmp_path, monke
     n = 1 graph (512 vertices, 130 816 edges, a 2.4 MB file).
 
     Measured on CPython 3.11: write_decg peaks at 0.44 MB (3.3 B/edge) and
-    read_decg at 0.69 MB (5.3 B/edge), the color array (1 B/edge), the
+    read_decg at 0.65 MB (5.0 B/edge), the color array (1 B/edge), the
     vertices and the step tables; it peaked at 3.8 MB (29.2 B/edge) while
     the edges were two tuples of ints.  Both include the hasher's step
     tables, about 130 tables of 2 KB.  The whole-text writer and reader
@@ -419,16 +423,16 @@ def _w2_shaped_graph():
 def test_read_decg_holds_an_edge_in_a_byte_or_two(tmp_path, monkeypatch):
     """Peak traced allocation of read_decg on a 400-vertex n = 2 graph.
 
-    Measured on CPython 3.11: 0.64 MB, 8.1 B/edge, of which the color
+    Measured on CPython 3.11: 0.61 MB, 7.6 B/edge, of which the color
     array is 1 B/edge and the rest is the vertices, the step tables and
-    one row's lines.  Edges held as two tuples of ints (16 B/edge), built
+    one row's tails.  Edges held as two tuples of ints (16 B/edge), built
     through lists, peaked at 2.56 MB (32.1 B/edge), so the bound fails
     them.
     """
+    g = _w2_shaped_graph()[0]  # its cached text is signed before the stand-in
     monkeypatch.setattr(colorer._EdgeHasher, "_steps", _crc32_steps)
-    g, data = _w2_shaped_graph()
     path = tmp_path / "g.decg"
-    path.write_bytes(data)
+    write_decg(g, path)
     assert read_decg(path).edge_colors.typecode == "B"
     assert _peak_traced_bytes(lambda: read_decg(path)) < 16 * g.edge_count
 
@@ -437,16 +441,30 @@ def test_nonzero_exponents_round_trip():
     g = _graph(5, 2, count=40)
     quality = {0: 1, 7: 255, 8: 256, 9: 2**70, g.edge_count - 1: 3}
     h = ColoredGraph(g.system, g.n, g.vertices, g.edge_colors, quality)
-    assert h == ColoredGraph(
-        g.system, g.n, g.vertices, tuple(g.edge_colors),
-        tuple(quality.get(e, 0) for e in range(g.edge_count)),
-    )
     data = decg_dumps(h).encode()
     back = read_decg(data)
     assert back == h == reference.read_decg(data)
     assert back.edge_quality == quality
     assert [e for *_, e in back.iter_edges()] == [quality.get(e, 0) for e in range(g.edge_count)]
     assert decg_dumps(back).encode() == data
+
+
+def test_graph_takes_only_the_stored_edge_forms():
+    g = _graph(5, 2, count=40)
+    edges = g.edge_count
+    make = functools.partial(ColoredGraph, g.system, g.n, g.vertices)
+    assert make(g.edge_colors, {edges - 1: 1}).edge_quality == {edges - 1: 1}
+    for colors, quality in [
+        (tuple(g.edge_colors), {}),  # not an array
+        (array("H", g.edge_colors), {}),  # 25 colors are held in bytes
+        (g.edge_colors, (0,) * edges),  # not a dict
+        (g.edge_colors, {edges: 1}),
+        (g.edge_colors, {-1: 1}),
+        (g.edge_colors, {0: -1}),
+        (g.edge_colors, {0: 0}),  # exponent 0 is not stored
+    ]:
+        with pytest.raises(ValueError):
+            make(colors, quality)
 
 
 def _mutations(data: bytes):
@@ -489,27 +507,58 @@ def _outcome(data: bytes):
         return type(exc).__name__, str(exc)  # BadFormat's text is "line N: message"
 
 
-def test_batched_reader_matches_the_line_reader(monkeypatch):
-    mutations = list(_mutations(_w2_shaped_graph()[1]))
-    batched = {name: _outcome(mutated) for name, mutated in mutations}
-    monkeypatch.setattr(colorer, "_read_edges", reference.read_edges)
-    lined = {name: _outcome(mutated) for name, mutated in mutations}
-    assert batched == lined
-    # edge line (40, 44) is line 5 + 400 + 40 * 759 // 2 + 3 of the file
-    assert batched["tail only"] == ("BadFormat", "line 15588: malformed edge line")
-    assert batched["exponent above 255"].edge_quality == {210 * 589 // 2 + 5: 300}  # (210, 216)
-    read = [name for name, outcome in batched.items() if isinstance(outcome, ColoredGraph)]
-    assert read == ["unseen exponent", "exponent above 255"]
+def test_reader_names_the_first_bad_edge_line():
+    outcomes = {name: _outcome(mutated) for name, mutated in _mutations(_w2_shaped_graph()[1])}
+    read = {name: outcomes.pop(name).edge_quality for name in ("unseen exponent", "exponent above 255")}
+    # edge (200, 201) has index 200 * 599 // 2 and (210, 216) 210 * 589 // 2 + 5
+    assert read == {"unseen exponent": {59900: 9}, "exponent above 255": {61850: 300}}
+    assert outcomes == {
+        # a line that is only a tail already checked on an earlier line;
+        # edge line (40, 44) is line 5 + 400 + 40 * 759 // 2 + 3 of the file
+        "tail only": ("BadFormat", "line 15588: malformed edge line"),
+        "wrong j": ("BadFormat", "line 17424: edge (45, 101) out of order, expected (45, 100)"),
+        "wrong i": ("BadFormat", "line 19179: edge (51, 100) out of order, expected (50, 100)"),
+        "non-UTF-8": (
+            "BadFormat",
+            "line 20866: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 17: "
+            "invalid start byte",
+        ),
+        "unseen exponent, unsigned": (
+            "ChecksumMismatch",
+            "stored checksum cfb87b2a72feca1e, recomputed 290dfcb7c88b2425",
+        ),
+        "vector mismatch": ("BadFormat", "line 24261: color index 8 does not encode vector (0, 1)"),
+        "duplicated line": ("BadFormat", "line 25920: edge (69, 399) out of order, expected (70, 71)"),
+        "dropped line": ("BadFormat", "line 27559: edge (75, 81) out of order, expected (75, 80)"),
+        "truncated mid-row": ("BadFormat", "line 29433: file truncated: missing final newline"),
+        "missing final newline": ("BadFormat", "line 31019: file truncated: missing final newline"),
+    }
 
 
-def test_palette_past_2_64_colors_is_refused():
-    # (2n + 1)^2 > 2**64 exactly when n >= 2**31: no array typecode holds it
-    with pytest.raises(ValueError, match="colors exceeds 2\\*\\*64"):
-        color_graph(SYSTEM, [PeriodicConfiguration.constant(2, 3)], 2**31)
-    g = color_graph(SYSTEM, [PeriodicConfiguration.constant(2, 3)], 2**31 - 1)
-    assert g.edge_colors.typecode == "Q"
-    for n, line_no in ((2**31, 4), (2**31 - 1, 5)):
-        header = b"decg 1\nsystem shift k=2 alpha=2/1\nn %d\nvertices 1  colors %d  sampled full\n"
+def test_reader_stops_at_the_first_bad_edge_line(tmp_path):
+    """A bad first edge line fails before the rest of its row is read: the
+    398 lines of 25 KB after it (10 MB) are never held."""
+    data = _w2_shaped_graph()[1]
+    path = tmp_path / "g.decg"
+    path.write_bytes(data[: data.index(b"e 0 1 ")] + b"e 0 1 junk\n" + (b"x" * 25_000 + b"\n") * 398)
+
+    def read():
+        with pytest.raises(BadFormat, match="line 405: malformed edge line"):
+            read_decg(path)
+
+    assert _peak_traced_bytes(read) < 1_000_000
+
+
+def test_palette_past_sys_maxsize_is_refused(tmp_path, capsys):
+    # (2n + 1)^2 <= sys.maxsize = 2**63 - 1 exactly when n <= 1518500249:
+    # past it len() cannot count the palette
+    x = PeriodicConfiguration.constant(2, 3)
+    for n in (1518500250, 2**31 - 1, 2**31):
+        with pytest.raises(ValueError, match=f"colors exceeds {sys.maxsize}"):
+            color_graph(SYSTEM, [x], n)
+    assert color_graph(SYSTEM, [x], 1518500249).edge_colors.typecode == "Q"
+    header = b"decg 1\nsystem shift k=2 alpha=2/1\nn %d\nvertices 1  colors %d  sampled full\n"
+    for n, line_no in ((2**31, 4), (2**31 - 1, 4), (1518500250, 4), (1518500249, 5)):
         with pytest.raises(BadFormat) as info:
             read_decg(header % (n, (2 * n + 1) ** 2))
         assert info.value.line_no == line_no  # the body is missing

@@ -124,9 +124,9 @@ def test_revalidate_edges_recomputes_a_non_witness_color():
     )
 
     def with_edge(quality):
-        colors, qualities = list(graph.edge_colors), dict(graph.edge_quality)
+        colors, qualities = graph.edge_colors[:], dict(graph.edge_quality)
         colors[e], qualities[e] = c, quality
-        return dataclasses.replace(graph, edge_colors=tuple(colors), edge_quality=qualities)
+        return dataclasses.replace(graph, edge_colors=colors, edge_quality=qualities)
 
     assert revalidate_edges(with_edge(exponent)) is None
     assert revalidate_edges(with_edge(exponent + 1)) == (
