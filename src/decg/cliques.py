@@ -1,10 +1,10 @@
 """Monochromatic clique analysis of colored complete graphs.
 
 Each color class is searched with an exact branch-and-bound maximum clique
-solver (pivoting, bitset adjacency) whose vertices are seeded in
-degeneracy order.  That order comes from a bucket queue with a
-(degree, index) tie-break, so it costs O(q + m) bitmask updates per class,
-and the paper's pigeonhole bound ends the search early.
+solver (pivoting, bitset adjacency) on the vertices' own labels.  It seeds
+and branches in smallest-last (degeneracy) order, which a bucket queue with
+a (degree, index) tie-break builds only as far as the search reads it, and
+the paper's pigeonhole bound ends the search early.
 The overall maximum over colors upper-bounds the opposite-Ramsey number of
 the graph's parameters, and the winning clique doubles as a separation
 certificate: shifting its vertices by the winning color must leave them
@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import chain, combinations
+from typing import Callable, Iterator, Sequence
 
 from .action import LatticeVector, shift_min_diff, shifted_exponent, window_mask
 from .colorer import ColoredGraph
@@ -63,8 +63,9 @@ def max_clique(
 
     `adjacency` is symmetric: bit j of adjacency[i] is set iff {i, j} is
     an edge (bit i of adjacency[i] is ignored).  Branch and bound with
-    pivoting; vertices are seeded in degeneracy order, and each row is
-    relabelled into that order the first time the search reads it.
+    pivoting on the vertices' own labels: seeds and branches are taken in
+    smallest-last order, and a pivot tie goes to the vertex that comes
+    first in it, so the order is built only as far as the search reads it.
     Deterministic: the witness is the first maximum found by the fixed
     branch order.  Raises CapExceeded above `cap` vertices.
 
@@ -83,12 +84,8 @@ def max_clique(
     masks = [adjacency[v] & ~(1 << v) for v in range(q)]
     bound = _partition_bound(masks, parts)
     limit = q if bound is None else bound  # no clique has more vertices
-
-    order = _degeneracy_order(masks)
-    pos = [0] * q
-    for i, v in enumerate(order):
-        pos[v] = i
-    radj = _Relabelled(masks, order, pos)
+    lazy = _LazyOrder(masks)
+    ranked = lazy.ranked
 
     best = 1
     best_clique = [0]
@@ -102,15 +99,19 @@ def max_clique(
         nodes += 1
         if len(r) + p.bit_count() <= bar:
             return
-        pivot = _pick_pivot(p, masks, order)
-        cand = p & ~radj[pivot]
-        while cand:
-            if len(r) + p.bit_count() <= bar:
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
+        most, ties = -1, 0  # the members of p with the most neighbours in p
+        m = p
+        while m:
+            low = m & -m
+            c = (p & masks[low.bit_length() - 1]).bit_count()
+            if c > most:
+                most, ties = c, low
+            elif c == most:
+                ties |= low
+            m ^= low
+        for v in ranked(p & ~masks[next(ranked(ties))]):
             r.append(v)
-            grown = p & radj[v]
+            grown = p & masks[v]
             if grown:
                 expand(r, grown)
             elif len(r) > best:
@@ -118,27 +119,27 @@ def max_clique(
                 best_clique = r.copy()
                 bar = q if best == limit else best
             r.pop()
-            p &= ~low
-            cand ^= low
+            p &= ~(1 << v)
+            if len(r) + p.bit_count() <= bar:
+                return
         # remaining vertices all neighbor the pivot; any clique among them
         # extends by the pivot, which was branched above
 
-    for i in range(q):
-        if best == limit:
-            break
-        if 1 + masks[order[i]].bit_count() <= best:
-            continue  # too few neighbours, later or not: skip the relabel
-        p = radj[i] >> (i + 1) << (i + 1)
-        if 1 + p.bit_count() <= best:
-            continue
-        expand([i], p)
-    del expand  # the closure refers to itself; freeing it frees radj and masks now
+    later = (1 << q) - 1
+    for v in ranked(later):
+        later ^= 1 << v
+        p = masks[v] & later
+        if 1 + p.bit_count() > best:
+            expand([v], p)
+            if best == limit:
+                break
+    del expand  # the closure refers to itself; freeing it frees the order and masks now
 
     count("clique_nodes", nodes)
+    count("order_positions", len(lazy.order))
     if best == bound:
         count("hint_stops")
-    witness = sorted(order[i] for i in best_clique)
-    return best, witness
+    return best, sorted(best_clique)
 
 
 def _partition_bound(masks: Sequence[int], parts: Sequence[int]) -> int | None:
@@ -162,31 +163,9 @@ def _partition_bound(masks: Sequence[int], parts: Sequence[int]) -> int | None:
     return sum(1 for part in parts if part)
 
 
-class _Relabelled(dict):
-    """Row i is the adjacency of vertex order[i] with each neighbour u
-    renumbered pos[u], built on its first read."""
-
-    __slots__ = ("masks", "order", "pos")
-
-    def __init__(self, masks: Sequence[int], order: Sequence[int], pos: Sequence[int]):
-        super().__init__()
-        self.masks, self.order, self.pos = masks, order, pos
-
-    def __missing__(self, i: int) -> int:
-        pos = self.pos
-        m = self.masks[self.order[i]]
-        nm = 0
-        while m:
-            low = m & -m
-            nm |= 1 << pos[low.bit_length() - 1]
-            m ^= low
-        self[i] = nm
-        return nm
-
-
-def _degeneracy_order(masks: Sequence[int]) -> list[int]:
-    """Smallest-last order: repeatedly remove the remaining vertex of least
-    (remaining degree, index).
+class _LazyOrder:
+    """Smallest-last order, built only as far as it is read: repeatedly
+    remove the remaining vertex of least (remaining degree, index).
 
     Bucket queue (Matula & Beck 1983): buckets[d] is the bitmask of the
     remaining vertices of current degree d, so each pick is the lowest bit
@@ -194,24 +173,64 @@ def _degeneracy_order(masks: Sequence[int]) -> list[int]:
     neighbour down one bucket, so the bucket pointer steps back by at most
     one.
     """
-    q = len(masks)
-    degree = [m.bit_count() for m in masks]
-    buckets = [0] * q  # degrees run from 0 to q - 1
-    for v, d in enumerate(degree):
-        buckets[d] |= 1 << v
-    remaining = (1 << q) - 1
-    order = []
-    d = 0
-    for _ in range(q):
+
+    __slots__ = ("masks", "degree", "buckets", "d", "remaining", "order", "pos")
+
+    def __init__(self, masks: Sequence[int]):
+        q = len(masks)
+        self.masks = masks
+        self.degree = [m.bit_count() for m in masks]
+        self.buckets = [0] * q  # degrees run from 0 to q - 1
+        for v, d in enumerate(self.degree):
+            self.buckets[d] |= 1 << v
+        self.d = 0
+        self.remaining = (1 << q) - 1
+        self.order: list[int] = []
+        self.pos = [0] * q
+
+    def ranked(self, s: int) -> Iterator[int]:
+        """The members of s in smallest-last order: those already placed,
+        sorted once by position, then the rest as the queue reaches them.
+        The caller may read the order between two members; a member placed
+        meanwhile comes before any the queue has not reached.  A member
+        left alone needs no placing."""
+        rest = s & self.remaining
+        members = []
+        m = s ^ rest  # the members already placed
+        while m:
+            low = m & -m
+            members.append(low.bit_length() - 1)
+            m ^= low
+        members.sort(key=self.pos.__getitem__)
+        return chain(members, self._reach(rest, len(self.order))) if rest else iter(members)
+
+    def _reach(self, s: int, i: int) -> Iterator[int]:
+        """The members of s, none placed before position i, in order."""
+        order = self.order
+        while s:
+            if not s & (s - 1):
+                yield s.bit_length() - 1
+                return
+            if i == len(order):
+                self._place()
+            v = order[i]
+            i += 1
+            if s >> v & 1:
+                s ^= 1 << v
+                yield v
+
+    def _place(self) -> None:
+        buckets, degree = self.buckets, self.degree
+        d = self.d
         while not buckets[d]:
             d += 1
-        bucket = buckets[d]
-        low = bucket & -bucket
-        buckets[d] = bucket ^ low
-        remaining ^= low
+        low = buckets[d] & -buckets[d]
+        buckets[d] ^= low
+        self.remaining ^= low
         v = low.bit_length() - 1
-        order.append(v)
-        m = masks[v] & remaining
+        self.pos[v] = len(self.order)
+        self.order.append(v)
+        m = self.masks[v] & self.remaining
         while m:
             bit = m & -m
             u = bit.bit_length() - 1
@@ -220,32 +239,12 @@ def _degeneracy_order(masks: Sequence[int]) -> list[int]:
             buckets[du - 1] |= bit
             degree[u] = du - 1
             m ^= bit
-        if d:
-            d -= 1
-    return order
+        self.d = d - 1 if d else 0
 
 
-def _pick_pivot(p: int, masks: Sequence[int], order: Sequence[int]) -> int:
-    """The position in p whose vertex has the most neighbours in p, the
-    lowest position on ties.  Counted on the rows as given, with p mapped
-    back through `order`, so picking a pivot relabels no row."""
-    positions = []
-    members = 0  # p's vertices
-    m = p
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        positions.append(v)
-        members |= 1 << order[v]
-        m ^= low
-    best_v = -1
-    best_count = -1
-    for v in positions:
-        c = (members & masks[order[v]]).bit_count()
-        if c > best_count:
-            best_count = c
-            best_v = v
-    return best_v
+def _degeneracy_order(masks: Sequence[int]) -> list[int]:
+    """The whole smallest-last order."""
+    return list(_LazyOrder(masks).ranked((1 << len(masks)) - 1))
 
 
 @dataclass(frozen=True)

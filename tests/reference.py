@@ -13,11 +13,13 @@ before its bounded clique search, forward checking and propagation.
 replaced, `read_decg` the whole-text DECG v1 reader that the streaming
 one replaced, and `probe_question` the norm-range search that the probe's
 single construction replaced.  `max_clique` is the clique search before
-it took a partition hint and relabelled rows lazily, and
-`revalidate_edges` the edge check before it built diff masks a row at a
-time and tested each stored exponent with two windows.  `color_classes`
-is the one-pass build of every class's masks that the byte matrix
-replaced.
+it took a partition hint and searched the vertices' own labels over a
+lazily built order: it relabels every row up front into the order of
+`degeneracy_order`, so it shares no order code with the package.
+`revalidate_edges` is the edge check before it built diff masks a row at
+a time and tested each stored exponent with two windows.
+`color_classes` is the one-pass build of every class's masks that the
+byte matrix replaced.
 """
 
 import re
@@ -42,7 +44,6 @@ from decg import (
     shift_min_diff,
 )
 from decg.action import diff_mask, shifted_exponent as shifted_mask_exponent
-from decg.cliques import _degeneracy_order
 from decg.ramsey import edge_list
 
 
@@ -436,7 +437,7 @@ def read_decg(source) -> ColoredGraph:
 def max_clique(adjacency, cap: int = 5000) -> tuple[int, list[int]]:
     """Exact maximum clique order and the first maximum witness, by
     branch and bound with pivoting over every row relabelled up front
-    into degeneracy order."""
+    into the order of `degeneracy_order`."""
     q = len(adjacency)
     if q == 0:
         return 0, []
@@ -444,7 +445,7 @@ def max_clique(adjacency, cap: int = 5000) -> tuple[int, list[int]]:
         raise CapExceeded(f"{q} vertices exceeds clique search cap {cap}")
     masks = [adjacency[v] & ~(1 << v) for v in range(q)]
 
-    order = _degeneracy_order(masks)
+    order = degeneracy_order(masks)
     pos = [0] * q
     for i, v in enumerate(order):
         pos[v] = i

@@ -195,6 +195,23 @@ def test_cliques_report_k4_is_pinned(tmp_path):
     assert f"{fnv1a64(rep.read_bytes()):016x}" == K4_REPORT_FNV
 
 
+# FNV-1a-64 of the `decg cliques` report on `color --k 2 --n 2
+# --max-vertices 1000 --seed 7`, the graph of the pipeline-n2 benchmark
+# workload, taken from the search that relabelled rows into a fully built
+# degeneracy order.  Its 20 classes are each settled by the partition hint,
+# so the pin guards the witnesses that the first branches pick.
+N2_REPORT_FNV = "a38f742ce4cf9d78"
+
+
+def test_cliques_report_n2_is_pinned(tmp_path):
+    out = tmp_path / "g.decg"
+    rep = tmp_path / "r.json"
+    assert main(["color", "--k", "2", "--n", "2", "--max-vertices", "1000", "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert main(["cliques", str(out), "--out", str(rep)]) == 0
+    assert f"{fnv1a64(rep.read_bytes()):016x}" == N2_REPORT_FNV
+
+
 def test_cliques_single_vertex_graph(tmp_path):
     out = tmp_path / "one.decg"
     assert main(["color", "--k", "2", "--n", "1", "--max-vertices", "1",

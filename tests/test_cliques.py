@@ -178,8 +178,10 @@ def test_max_clique_hint_settles_the_search_early(k):
     (plain, plain_counters), (hinted, counters) = _searched(adjacency), _searched(adjacency, parts)
     assert plain == hinted == reference.max_clique(adjacency)
     assert plain[0] == k
-    assert counters == {"clique_nodes": k - 1, "hint_stops": 1}
+    positions = {2: 3, 3: 11, 4: 21}[k]  # of the smallest-last order, read down one branch
+    assert counters == {"clique_nodes": k - 1, "order_positions": positions, "hint_stops": 1}
     assert plain_counters["clique_nodes"] > k - 1 and "hint_stops" not in plain_counters
+    assert plain_counters["order_positions"] > positions  # the order is built as far as it is read
 
 
 TRIANGLE_PLUS = _adjacency(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -217,7 +219,9 @@ def test_max_clique_matches_the_reference_on_color_classes():
                 sum(1 << i for i, x in enumerate(g.vertices) if x.at(v.x, v.y) == s)
                 for s in range(k)
             ]
-            assert max_clique(masks, parts=parts) == reference.max_clique(masks), (k, c)
+            expected = reference.max_clique(masks)
+            assert max_clique(masks, parts=parts) == expected, (k, c)
+            assert max_clique(masks) == expected, (k, c)
 
 
 def _random_adjacency(rng, q, density):
