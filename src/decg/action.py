@@ -9,9 +9,9 @@ downstream are exact.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +29,7 @@ MAX_PATTERN_CELLS = 1 << 12
 _MASK64 = (1 << 64) - 1
 _BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 _BASE36_INDEX = {ch: i for i, ch in enumerate(_BASE36)}
-_PATTERN_RE = re.compile(r"^k([0-9]+):w([0-9]+):([0-9a-z]+)$")
+_PATTERN_RE = re.compile(r"^k(0|[1-9][0-9]*):w(0|[1-9][0-9]*):([0-9a-z]+)\Z")
 
 
 class LatticeVector(NamedTuple):
@@ -288,25 +288,22 @@ def _threshold_exponent(alpha: Fraction) -> int:
     "Distance at least 1/(4*alpha)" is taken to mean "exponent at most
     t"; for the default alpha = 2 the two agree exactly (t = 3,
     2**-3 = 1/8).  With alpha = a/b and s = t - 1 the test is
-    a**s >= 4 * b**s, decided in integers: a float estimate of s is
-    corrected by exact comparisons.  Raises ValueError when a or b
-    exceeds 64 bits or t exceeds MAX_THRESHOLD_EXPONENT.
+    a**s >= 4 * b**s, decided in exact integers and monotone in s since
+    a > b.  It is tried once at s = MAX_THRESHOLD_EXPONENT - 1, which
+    refuses every alpha too close to 1 in one pair of powers; otherwise
+    one bisection over [1, MAX_THRESHOLD_EXPONENT - 1] finds the least s
+    that passes.  Raises ValueError when a or b exceeds 64 bits or t
+    exceeds MAX_THRESHOLD_EXPONENT.
     """
     a, b = alpha.numerator, alpha.denominator
     if max(a, b).bit_length() > 64:
         raise ValueError("alpha's numerator and denominator must fit in 64 bits")
-    too_close = f"alpha is too close to 1: its threshold exponent exceeds {MAX_THRESHOLD_EXPONENT}"
-    # O(1) refusal: ln alpha <= alpha - 1, so s >= ln 4 / ln alpha > 1.386 / (alpha - 1),
-    # which exceeds MAX_THRESHOLD_EXPONENT when this holds
-    if 1000 * (a - b) * MAX_THRESHOLD_EXPONENT < 1386 * b:
-        raise ValueError(too_close)
-    s = math.ceil(math.log(4) / math.log(alpha))
-    while a**s < 4 * b**s:
-        s += 1
-    while a ** (s - 1) >= 4 * b ** (s - 1):
-        s -= 1
-    if s + 1 > MAX_THRESHOLD_EXPONENT:
-        raise ValueError(too_close)
+    top = MAX_THRESHOLD_EXPONENT - 1
+    if a**top < 4 * b**top:
+        raise ValueError(
+            f"alpha is too close to 1: its threshold exponent exceeds {MAX_THRESHOLD_EXPONENT}"
+        )
+    s = 1 + bisect.bisect_left(range(1, top), True, key=lambda e: a**e >= 4 * b**e)
     return s + 1
 
 

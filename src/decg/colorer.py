@@ -46,6 +46,11 @@ _FNV_PRIME = 0x100000001B3
 
 DECG_VERSION = 1
 
+# An integer as the writer formats it: ASCII digits, no leading zero.  The
+# reader's patterns take integers only in this form.
+_UINT = "(0|[1-9][0-9]*)"
+_SAMPLED = f"full|subsampled seed={_UINT}"
+
 
 def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
     """FNV-1a, 64-bit; given a prefix's hash as `state`, continues that hash over `data`."""
@@ -127,7 +132,7 @@ class ColoredGraph:
             0 <= e < expected and x > 0 for e, x in self.edge_quality.items()
         ):
             raise ValueError(f"edge quality must map edge indices below {expected} to exponents >= 1")
-        if not re.fullmatch(r"full|subsampled seed=\d+", self.sampled):
+        if not re.fullmatch(_SAMPLED, self.sampled):
             raise ValueError(f"bad sampled tag {self.sampled!r}")
 
     @property
@@ -229,10 +234,9 @@ def color_graph(
 
 # --- DECG serialization ----------------------------------------------------
 
-_HEADER4_RE = re.compile(
-    r"^vertices (\d+)  colors (\d+)  sampled (full|subsampled seed=\d+)$"
-)
-_SYSTEM_RE = re.compile(r"^system shift k=(\d+) alpha=(\d+)/(\d+)$")
+_SYSTEM_RE = re.compile(f"system shift k={_UINT} alpha={_UINT}/{_UINT}")
+_N_RE = re.compile(f"n {_UINT}")
+_HEADER4_RE = re.compile(f"vertices {_UINT}  colors {_UINT}  sampled ({_SAMPLED})")
 _END_RE = re.compile(r"end [0-9a-f]{16}")
 
 
@@ -341,12 +345,16 @@ class _EdgeHasher:
         return h
 
 
+def _system_line(system: ShiftSystem) -> str:
+    a = system.alpha
+    return f"system shift k={system.alphabet_size} alpha={a.numerator}/{a.denominator}"
+
+
 def _head_piece(graph: ColoredGraph) -> bytes:
     """The header and vertex lines of the DECG text, as UTF-8."""
-    a = graph.system.alpha
     head = [
         f"decg {DECG_VERSION}",
-        f"system shift k={graph.system.alphabet_size} alpha={a.numerator}/{a.denominator}",
+        _system_line(graph.system),
         f"n {graph.n}",
         f"vertices {graph.vertex_count}  colors {len(graph.colors)}  sampled {graph.sampled}",
     ]
@@ -409,7 +417,7 @@ def _fail(line_no: int, message: str):
 def _header_int(line_no: int, digits: str) -> int:
     try:
         return int(digits)
-    except ValueError as exc:  # isdigit passes superscripts; int refuses very long digit runs
+    except ValueError as exc:  # int refuses digit runs past the interpreter's limit
         _fail(line_no, str(exc))
 
 
@@ -437,6 +445,8 @@ def _edge_fields(line_no: int, raw: bytes, i: int, j: int, colors: ColorSet) -> 
         quality = int(parts[6])
     except ValueError:
         _fail(line_no, "non-integer edge fields")
+    if parts[3:] != [str(c), str(vx), str(vy), str(quality)]:
+        _fail(line_no, "edge fields are not integers as the writer formats them")
     palette = len(colors)
     if not 0 <= c < palette:
         _fail(line_no, f"color index {c} outside palette of {palette}")
@@ -485,11 +495,13 @@ def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[i
 def read_decg(source) -> ColoredGraph:
     """Parse DECG text from a path or bytes.
 
-    Re-verifies the grammar, the header arithmetic (edge count equals
-    q*(q-1)/2, palette size equals (2n+1)**2, color indices match their
-    vectors) and the trailer checksum.  Lines are read and hashed one row
-    at a time, so memory grows with the edge count, never with the text
-    or the header's palette.  Witness validity is not checked here;
+    Re-verifies the grammar (each line is the writer's formatting of its
+    values: integers in ASCII digits with no leading zero, alpha in lowest
+    terms), the header arithmetic (edge count equals q*(q-1)/2, palette
+    size equals (2n+1)**2, color indices match their vectors) and the
+    trailer checksum.  Lines are read and hashed one row at a time, so
+    memory grows with the edge count, never with the text or the header's
+    palette.  Witness validity is not checked here;
     `cliques.revalidate_edges` does that.
     """
     if isinstance(source, bytes):
@@ -508,7 +520,8 @@ def _read_lines(fh) -> ColoredGraph:
 
     if line(1) != f"decg {DECG_VERSION}":
         _fail(1, f"expected 'decg {DECG_VERSION}' header")
-    m = _SYSTEM_RE.match(line(2))
+    line2 = line(2)
+    m = _SYSTEM_RE.fullmatch(line2)
     if m is None:
         _fail(2, "malformed system line")
     try:
@@ -516,11 +529,13 @@ def _read_lines(fh) -> ColoredGraph:
         system = ShiftSystem(alphabet_size=k, alpha=Fraction(int(m.group(2)), int(m.group(3))))
     except (ValueError, ZeroDivisionError) as exc:
         _fail(2, f"bad system parameters: {exc}")
-    line3 = line(3)
-    if not line3.startswith("n ") or not line3[2:].isdigit():
+    if line2 != _system_line(system):
+        _fail(2, f"alpha {m.group(2)}/{m.group(3)} is not in lowest terms")
+    m3 = _N_RE.fullmatch(line(3))
+    if m3 is None:
         _fail(3, "malformed n line")
-    n = _header_int(3, line3[2:])
-    m4 = _HEADER4_RE.match(line(4))
+    n = _header_int(3, m3.group(1))
+    m4 = _HEADER4_RE.fullmatch(line(4))
     if m4 is None:
         _fail(4, "malformed vertices/colors/sampled line")
     q = _header_int(4, m4.group(1))

@@ -337,20 +337,6 @@ class SandwichReport:
     lr_constant: Fraction
     certificate_weaker_than_lr: bool
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "r_upper": self.r_upper,
-            "exact": self.exact,
-            "statements": list(self.statements),
-            "gg_upper_at_k": self.gg_at,
-            "lr_lower_at_k": self.lr_at,
-            "lr_constant": str(self.lr_constant),
-            "lr_constant_note": "illustrative; the true constant is not pinned down",
-            "certificate_weaker_than_lr": self.certificate_weaker_than_lr,
-        }
-
 
 def sandwich_report(
     p: int,

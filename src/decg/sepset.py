@@ -69,8 +69,9 @@ def greedy_separated(
     kept: list = []
     seen: set[tuple[int, ...]] = set()
     for p in points:
+        system.check_point(p)
         if kept:
-            diff_mask(p, kept[0])  # raises MismatchedSystems for a point of another shift
+            diff_mask(p, kept[0])  # raises MismatchedSystems for a point of another period
         else:
             window = window_mask(p.width, ORIGIN, e)
         key = tuple(plane & window for plane in p.planes)
@@ -82,8 +83,11 @@ def greedy_separated(
 
 def separation_check(system: ShiftSystem, points: Sequence, epsilon: ShiftDistance):
     """Re-verify the pairwise bound.  Returns (True, None) or
-    (False, (i, j)) with the first violating index pair in scan order."""
+    (False, (i, j)) with the first violating index pair in scan order.
+    A point of another shift raises MismatchedSystems."""
     e = _positive_exponent(epsilon)
+    for p in points:
+        system.check_point(p)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             if not system.distance_at_least(points[i], points[j], e):

@@ -16,12 +16,13 @@ single construction replaced.  `max_clique` is the clique search before
 it took a partition hint and searched the vertices' own labels over a
 lazily built order: it relabels every row up front into the order of
 `degeneracy_order`, so it shares no order code with the package.
-`revalidate_edges` is the edge check before it built diff masks a row at
-a time and tested each stored exponent with two windows.
+`revalidate_edges` rechecks each edge by the ring scan
+`revalidation_exponent`, so it shares no mask code with the package's.
 `color_classes` is the one-pass build of every class's masks that the
 byte matrix replaced.
 """
 
+import math
 import re
 from array import array
 from fractions import Fraction
@@ -34,6 +35,7 @@ from decg import (
     ColorSet,
     Counterexample,
     LatticeVector,
+    MismatchedSystems,
     PeriodicConfiguration,
     ShiftDistance,
     ShiftSystem,
@@ -43,7 +45,6 @@ from decg import (
     ring_vectors,
     shift_min_diff,
 )
-from decg.action import diff_mask, shifted_exponent as shifted_mask_exponent
 from decg.ramsey import edge_list
 
 
@@ -284,8 +285,11 @@ def probe_question(system: ShiftSystem, n: int):
 # --- the DECG v1 reader before it streamed -------------------------------------
 
 DECG_VERSION = 1
-SYSTEM_RE = re.compile(r"^system shift k=(\d+) alpha=(\d+)/(\d+)$")
-HEADER4_RE = re.compile(r"^vertices (\d+)  colors (\d+)  sampled (full|subsampled seed=\d+)$")
+# every integer field is in the writer's form: ASCII digits, no leading zero
+UINT = "(0|[1-9][0-9]*)"
+SYSTEM_RE = re.compile(f"system shift k={UINT} alpha={UINT}/{UINT}")
+N_RE = re.compile(f"n {UINT}")
+HEADER4_RE = re.compile(f"vertices {UINT}  colors {UINT}  sampled (full|subsampled seed={UINT})")
 
 
 def fail(line_no: int, message: str):
@@ -303,10 +307,12 @@ def read_decg(source) -> ColoredGraph:
     """Parse DECG text from a path or bytes, holding the whole text and its
     list of lines at once.
 
-    Re-verifies the grammar, the header arithmetic (edge count equals
-    q*(q-1)/2, palette size equals (2n+1)**2, color indices match their
-    vectors) and the trailer checksum.  Memory grows with the body, never
-    with the header's palette.  Witness validity is not checked here;
+    Re-verifies the grammar (each line is the writer's formatting of its
+    values: integers in ASCII digits with no leading zero, alpha in lowest
+    terms), the header arithmetic (edge count equals q*(q-1)/2, palette
+    size equals (2n+1)**2, color indices match their vectors) and the
+    trailer checksum.  Memory grows with the body, never with the header's
+    palette.  Witness validity is not checked here;
     `cliques.revalidate_edges` does that.
     """
     if isinstance(source, bytes):
@@ -329,7 +335,7 @@ def read_decg(source) -> ColoredGraph:
 
     if need(0) != f"decg {DECG_VERSION}":
         fail(1, f"expected 'decg {DECG_VERSION}' header")
-    m = SYSTEM_RE.match(need(1))
+    m = SYSTEM_RE.fullmatch(need(1))
     if m is None:
         fail(2, "malformed system line")
     try:
@@ -337,11 +343,13 @@ def read_decg(source) -> ColoredGraph:
         system = ShiftSystem(alphabet_size=k, alpha=Fraction(int(m.group(2)), int(m.group(3))))
     except (ValueError, ZeroDivisionError) as exc:
         fail(2, f"bad system parameters: {exc}")
-    line3 = need(2)
-    if not line3.startswith("n ") or not line3[2:].isdigit():
+    if math.gcd(int(m.group(2)), int(m.group(3))) != 1:
+        fail(2, "alpha is not in lowest terms")
+    m3 = N_RE.fullmatch(need(2))
+    if m3 is None:
         fail(3, "malformed n line")
-    n = header_int(3, line3[2:])
-    m4 = HEADER4_RE.match(need(3))
+    n = header_int(3, m3.group(1))
+    m4 = HEADER4_RE.fullmatch(need(3))
     if m4 is None:
         fail(4, "malformed vertices/colors/sampled line")
     q = header_int(4, m4.group(1))
@@ -395,6 +403,8 @@ def read_decg(source) -> ColoredGraph:
                 quality = int(parts[6])
             except ValueError:
                 fail(line_no, "non-integer edge fields")
+            if parts[3:] != [str(c), str(vx), str(vy), str(quality)]:
+                fail(line_no, "edge fields are not integers as the writer formats them")
             if not 0 <= c < palette:
                 fail(line_no, f"color index {c} outside palette of {palette}")
             v = decoded.get(c)
@@ -511,17 +521,17 @@ def _pick_pivot(p: int, radj) -> int:
 
 
 def revalidate_edges(graph: ColoredGraph):
-    """Recheck every edge on its own: the pair's diff mask, then windows
-    grown around the edge's color vector until one meets it.  None when
-    every edge passes, else (i, j, reason) for the first bad edge."""
+    """Recheck every edge on its own by the cell-by-cell ring scan around
+    the edge's color vector, `revalidation_exponent`.  None when every
+    edge passes, else (i, j, reason) for the first bad edge."""
     t = graph.system.threshold_exponent
-    vectors = {c: graph.colors[c] for c in graph.colors_used()}
     verts = graph.vertices
-    width = verts[0].width
+    if len({(x.width, x.alphabet_size) for x in verts}) > 1:
+        raise MismatchedSystems("the graph's vertices mix periods or alphabets")
     for i, colors, exponents in graph.rows():
         x = verts[i]
         for j, (c, stored) in enumerate(zip(colors, exponents), i + 1):
-            achieved = shifted_mask_exponent(diff_mask(x, verts[j]), width, vectors[c])
+            achieved = revalidation_exponent(x, verts[j], graph.colors[c])
             if achieved is None:
                 return (i, j, "endpoints are identical points")
             if achieved > t:

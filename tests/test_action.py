@@ -338,3 +338,7 @@ def test_pattern_encoding_errors():
         parse_pattern("k2:w3:0101")
     with pytest.raises(ValueError):
         parse_pattern("k2:w2:0121")  # symbol 2 outside alphabet of 2
+    # integers only as encode_pattern writes them, and nothing after the digits
+    for text in ("k02:w3:010110001", "k2:w03:010110001", "k\u0662:w3:010110001", "k2:w3:010110001\n"):
+        with pytest.raises(ValueError, match="malformed pattern encoding"):
+            parse_pattern(text)

@@ -396,6 +396,20 @@ def test_cliques_alpha_too_close_to_one_exits_5_without_hanging(tmp_path):
     assert proc.stderr.startswith("error: line 2: ")
 
 
+def test_cliques_alpha_not_in_lowest_terms_exits_5_at_line_2(tmp_path, capsys):
+    # 4/2 is alpha = 2, which the writer writes as 2/1; re-signed so that
+    # only the alpha's form is wrong
+    out = tmp_path / "g.decg"
+    assert main(["color", "--k", "2", "--n", "1", "--max-vertices", "4",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().split("\n")
+    lines[1] = "system shift k=2 alpha=4/2"
+    body = "\n".join(lines[:-2]) + "\n"
+    out.write_text(body + f"end {reference.fnv1a64(body.encode()):016x}\n")
+    assert main(["cliques", str(out)]) == 5
+    assert capsys.readouterr().err == "error: line 2: alpha 4/2 is not in lowest terms\n"
+
+
 def test_probe_alpha_too_close_to_one_exits_2_quickly():
     started = time.perf_counter()
     proc = _decg_child("probe", "--n", "2", "--alpha", "1.00001")

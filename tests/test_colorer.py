@@ -488,9 +488,10 @@ def _mutations(data: bytes):
     yield "wrong j", edit(45, 100, lines[at(45, 100)].replace(b" 100 ", b" 101 "))
     yield "wrong i", edit(50, 100, lines[at(50, 100)].replace(b"e 50 ", b"e 51 "))
     yield "non-UTF-8", edit(55, 57, lines[at(55, 57)] + b"\xff")
-    yield "unseen exponent", edit(200, 201, lines[at(200, 201)] + b"9", resign=True)
+    yield "unseen exponent", edit(200, 201, lines[at(200, 201)][:-1] + b"9", resign=True)
     yield "exponent above 255", edit(210, 216, lines[at(210, 216)][:-1] + b"300", resign=True)
-    yield "unseen exponent, unsigned", edit(60, 61, lines[at(60, 61)] + b"1")
+    yield "leading zero", edit(205, 206, lines[at(205, 206)] + b"9", resign=True)
+    yield "unseen exponent, unsigned", edit(60, 61, lines[at(60, 61)][:-1] + b"1")
     fields = lines[at(65, 67)].split(b" ")
     fields[4] = b"%d" % (int(fields[4]) + 1)  # vx
     yield "vector mismatch", edit(65, 67, b" ".join(fields))
@@ -523,9 +524,11 @@ def test_reader_names_the_first_bad_edge_line():
             "line 20866: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 17: "
             "invalid start byte",
         ),
+        # exponent "09": edge line (205, 206) is line 5 + 400 + 205 * 594 // 2
+        "leading zero": ("BadFormat", "line 61290: edge fields are not integers as the writer formats them"),
         "unseen exponent, unsigned": (
             "ChecksumMismatch",
-            "stored checksum cfb87b2a72feca1e, recomputed 290dfcb7c88b2425",
+            "stored checksum cfb87b2a72feca1e, recomputed defc434b87461e8f",
         ),
         "vector mismatch": ("BadFormat", "line 24261: color index 8 does not encode vector (0, 1)"),
         "duplicated line": ("BadFormat", "line 25920: edge (69, 399) out of order, expected (70, 71)"),
@@ -562,3 +565,79 @@ def test_palette_past_sys_maxsize_is_refused(tmp_path, capsys):
         with pytest.raises(BadFormat) as info:
             read_decg(header % (n, (2 * n + 1) ** 2))
         assert info.value.line_no == line_no  # the body is missing
+
+
+# 5 vertices of period 3 over 3 symbols: lines 5-9 are vertex lines, and
+# line 10 is edge (0, 1), whose exponent is 0
+CANONICAL = decg_dumps(
+    color_graph(ShiftSystem(3), sample_periodic_points(3, 3, 5, seed=1), 1, "subsampled seed=7")
+)
+
+
+def _signed_edit(line_no: int, written: str, read: str) -> bytes:
+    """CANONICAL with the last `written` on line `line_no` replaced by
+    `read`, signed again so that only the edit is wrong."""
+    lines = CANONICAL.split("\n")[:-2]  # without the end line
+    head, sep, tail = lines[line_no - 1].rpartition(written)
+    assert sep, (line_no, written)
+    lines[line_no - 1] = head + read + tail
+    body = "".join(line + "\n" for line in lines).encode()
+    return body + b"end %016x\n" % fnv1a64(body)
+
+
+@pytest.mark.parametrize(
+    "line_no, written, read",
+    [
+        (2, "k=3", "k=03"),
+        (2, "alpha=2/1", "alpha=4/2"),
+        (3, "n 1", "n 01"),
+        (3, "n 1", "n \u0661"),  # an Arabic-Indic one
+        (4, "vertices 5", "vertices 05"),
+        (4, "colors 9", "colors 09"),
+        (4, "seed=7", "seed=007"),
+        (5, "v 0 k3:", "v 0 k03:"),
+        (5, ":w3:", ":w03:"),
+        (10, "e 0 1 ", "e 0 1 0"),  # the color field
+        (10, "e 0 1 ", "e 0 1 +"),
+        (10, "e 0 1 ", "e 0 1 \t"),
+        (10, "e 0 1 ", "e 0 1 \u00a0"),  # a no-break space
+        (10, " 0", " 00"),  # the exponent field
+        (10, " 0", " -0"),
+        (10, " 0", " +0"),
+        (10, " 0", " 0_0"),
+    ],
+)
+def test_reader_refuses_integers_the_writer_would_not_write(line_no, written, read):
+    assert decg_dumps(read_decg(CANONICAL.encode())) == CANONICAL
+    data = _signed_edit(line_no, written, read)
+    for reader in (read_decg, reference.read_decg):
+        with pytest.raises(BadFormat) as info:
+            reader(data)
+        assert info.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "written, read, message",
+    [
+        ("v 1 k3:", "v 1 k4:", "vertex alphabet 4 does not match header k=3"),
+        (CANONICAL.split("\n")[5], "v 1 k3:w1:0", "vertex period 1 differs from 3"),
+    ],
+)
+def test_reader_refuses_a_vertex_of_another_shift(written, read, message):
+    data = _signed_edit(6, written, read)
+    for reader in (read_decg, reference.read_decg):
+        with pytest.raises(BadFormat, match=f"^line 6: {message}$"):
+            reader(data)
+
+
+def test_graph_refuses_no_vertex_a_wrong_edge_count_and_a_bad_sampled_tag():
+    g = _graph(3, 1, count=30)
+    make = functools.partial(ColoredGraph, g.system, g.n)
+    with pytest.raises(ValueError, match="at least one vertex"):
+        make((), array("B"), {})
+    with pytest.raises(ValueError, match=f"needs {g.edge_count} edges"):
+        make(g.vertices, g.edge_colors[1:], {})
+    for tag in ("subsampled", "subsampled seed=007", "subsampled seed=-1", "subsampled seed=\u0661"):
+        with pytest.raises(ValueError, match="bad sampled tag"):
+            make(g.vertices, g.edge_colors, {}, tag)
+    assert make(g.vertices, g.edge_colors, {}, "subsampled seed=0").sampled == "subsampled seed=0"

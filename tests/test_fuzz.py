@@ -2,7 +2,8 @@
 
 Every mutation of a small valid DECG file either reads or fails with
 BadFormat or ChecksumMismatch, and does so exactly when the whole-text
-reader in tests/reference.py does; `parse_pattern` fails only with
+reader in tests/reference.py does; a file that reads is byte for byte
+what the writer writes for its graph.  `parse_pattern` fails only with
 ValueError.  Header edits reach `n 10**6` with a matching palette size,
 which the reader must refuse from the body without building the palette.
 """
@@ -74,6 +75,7 @@ def test_read_decg_fails_only_with_format_errors(data):
         got = read_decg(data)
         assert got == expected
         assert got.checksum_hex() == expected.checksum_hex()
+        assert decg_dumps(got).encode() == data  # an accepted file is the writer's text
 
 
 def test_truncation_at_every_line_boundary_and_mid_line():

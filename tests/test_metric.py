@@ -64,6 +64,21 @@ def test_find_witness_out_of_reach_coset():
     assert res.achieved == ShiftDistance(0)
 
 
+def test_find_witness_past_its_precondition_takes_the_first_best_shift():
+    # w=11 pair differing only on the coset of (4, 0): distance alpha**-4
+    # fails the alpha**-1 precondition, yet every |v| <= 1 with v.x = 1
+    # leaves the site at norm 3, the threshold
+    x = PeriodicConfiguration.constant(2, 11)
+    y = x.with_cell(4, 0, 1)
+    exponents = [_coset_norm(4 - v.x, -v.y, 11) for v in ball_vectors(1)]
+    assert min(exponents) == 3 == SYSTEM.threshold_exponent
+    first = ball_vectors(1)[exponents.index(3)]
+    assert first == LatticeVector(1, -1)
+    res = find_witness(SYSTEM, x, y, 1)
+    assert res.vector == first
+    assert res.achieved == ShiftDistance(3)
+
+
 def test_find_witness_rejects_negative_radius():
     x = PeriodicConfiguration.constant(2, 3)
     y = x.with_cell(1, 0, 1)

@@ -79,6 +79,16 @@ def test_greedy_refuses_mixed_shifts(other):
         reference.greedy_separated(SYSTEM, [x, other], 1)
 
 
+def test_points_over_another_alphabet_are_refused():
+    # five points of one 3-symbol shift, none of which lives in SYSTEM's 2-symbol one
+    points = sample_periodic_points(3, 3, 5, 1)
+    with pytest.raises(MismatchedSystems, match="point over 3 symbols in a 2-symbol shift"):
+        greedy_separated(SYSTEM, points, SYSTEM.epsilon(1))
+    with pytest.raises(MismatchedSystems, match="point over 3 symbols in a 2-symbol shift"):
+        separation_check(SYSTEM, points, SYSTEM.epsilon(1))
+    assert len(greedy_separated(ShiftSystem(3), points, SYSTEM.epsilon(1))) == 5
+
+
 def test_greedy_requires_positive_epsilon():
     with pytest.raises(ValueError):
         greedy_separated(SYSTEM, [PeriodicConfiguration.constant(2, 3)], ShiftDistance.zero())
@@ -189,6 +199,22 @@ def test_superpoly_subexponential_fails():
     seq = GrowthSequence(tuple((n, (2, n)) for n in range(1, 9)))
     report = superpoly_check(seq, "exponential-ratio", 4, n0=1)
     assert not report.established
+
+
+@pytest.mark.parametrize(
+    "counts, mode, parameter, n0, detail",
+    [
+        ((100, 150, 1000), "exponential-ratio", 2, 1, "gap not increasing at n = 2"),  # 150*2 < 100*4
+        ((100, 1000, 10000), "exponential-ratio", 2, 3, "fewer than 2 samples at n >= 3"),
+        # the grid to 10 is 1, 3, 8, composed with floor(ln n) + 1 = 1, 2, 3: 5*1 < 5*3
+        ((5, 5, 5), "log-composition", 1, 1, "composed value not increasing at n = 3"),
+    ],
+)
+def test_superpoly_verdicts_that_are_not_established(counts, mode, parameter, n0, detail):
+    seq = GrowthSequence(tuple(enumerate(counts, 1)))
+    report = superpoly_check(seq, mode, parameter, n0=n0, grid_limit=10)
+    assert not report.established
+    assert report.detail == detail
 
 
 def test_superpoly_log_composition():
