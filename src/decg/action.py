@@ -334,12 +334,15 @@ class ShiftSystem:
         """The separation scale alpha**-n."""
         return ShiftDistance(n)
 
-    def check_point(self, x: PeriodicConfiguration) -> None:
+    def check_point(self, x: PeriodicConfiguration, width: int | None = None) -> None:
+        """The membership rule: x is a point of this shift, of period `width` if given."""
         if x.alphabet_size != self.alphabet_size:
             raise MismatchedSystems(
                 f"point over {x.alphabet_size} symbols in a "
                 f"{self.alphabet_size}-symbol shift"
             )
+        if width is not None and x.width != width:
+            raise MismatchedSystems(f"point of period {x.width} among points of period {width}")
 
     def apply(self, v: LatticeVector, x: PeriodicConfiguration) -> PeriodicConfiguration:
         """The action: apply(v, x) at u equals x at u + v."""
@@ -351,6 +354,7 @@ class ShiftSystem:
     ) -> bool:
         """Exact test distance(x, y) >= alpha**-exponent: one AND of the
         pair's diff mask with the radius-`exponent` window."""
+        self.check_point(x)
         return bool(diff_mask(x, y) & window_mask(x.width, ORIGIN, exponent))
 
 

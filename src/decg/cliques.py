@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 from .action import LatticeVector, shift_min_diff, shifted_exponent, window_mask
 from .colorer import ColoredGraph
-from .errors import CapExceeded, MismatchedSystems
+from .errors import CapExceeded
 from .record import count, stage
 
 # Also the default --vertex-cap of `decg color`: `decg cliques` must analyse
@@ -351,6 +351,7 @@ def revalidate_edges(graph: ColoredGraph):
     pass over the bit-plane columns.  An edge with e = 0 passes at once
     when its diff mask meets v's cell; every other edge is measured by
     growing coset-norm windows around v, which also names what is wrong.
+    The graph's constructor has checked its vertices against its shift.
     Returns None when all edges pass, else (i, j, reason) for the first
     bad edge.
     """
@@ -361,8 +362,6 @@ def revalidate_edges(graph: ColoredGraph):
     vectors = {c: graph.colors[c] for c in graph.colors_used()}
     verts = graph.vertices
     width = verts[0].width
-    if len({(x.width, x.alphabet_size) for x in verts}) > 1:
-        raise MismatchedSystems("the graph's vertices mix periods or alphabets")
     sites = {c: window_mask(width, v, 0) for c, v in vectors.items()}  # radius 0: v's cell
     columns = list(zip(*(x.planes for x in verts)))  # plane j of every vertex
     for i, colors, exponents in graph.rows():

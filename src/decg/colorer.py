@@ -37,7 +37,7 @@ from .action import (
     scan_order,
     window_mask,
 )
-from .errors import BadFormat, ChecksumMismatch, MismatchedSystems, NoWitness, UnknownColor
+from .errors import BadFormat, ChecksumMismatch, NoWitness, UnknownColor
 from .sepset import SeparatedSet
 
 _MASK64 = (1 << 64) - 1
@@ -108,6 +108,7 @@ class ColoredGraph:
     their colors in an array of the palette's typecode.  `edge_quality`
     maps an edge's index to the distance exponent achieved after shifting
     the endpoints by its color vector, where that is not 0 (the best).
+    Its vertices pass `system.check_point` with one period, so DECG reads what it writes.
     """
 
     system: ShiftSystem
@@ -122,6 +123,8 @@ class ColoredGraph:
         q = len(self.vertices)
         if q < 1:
             raise ValueError("graph needs at least one vertex")
+        for x in self.vertices:
+            self.system.check_point(x, self.vertices[0].width)
         expected = q * (q - 1) // 2
         if len(self.edge_colors) != expected:
             raise ValueError(f"complete graph on {q} vertices needs {expected} edges")
@@ -202,12 +205,9 @@ def color_graph(
     points = tuple(vertices.points if isinstance(vertices, SeparatedSet) else vertices)
     if not points:
         raise ValueError("graph needs at least one vertex")
+    width = points[0].width
     for p in points:
-        system.check_point(p)
-    widths = {p.width for p in points}
-    if len(widths) != 1:
-        raise MismatchedSystems(f"vertices mix periods {sorted(widths)}")
-    (width,) = widths
+        system.check_point(p, width)
     window = window_mask(width, ORIGIN, n)  # the scan ranks below window.bit_length()
     vectors = scan_order(width)[0][: window.bit_length()]
     color_of_rank = [ColorSet(n).index_of(v) for v in vectors]

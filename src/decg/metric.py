@@ -94,14 +94,16 @@ def verify_recovery(system: ShiftSystem, pairs: Iterable, n: int) -> RecoveryRep
 
     Pairs with distance below alpha**-n do not satisfy the hypothesis;
     they are skipped and counted.  Failures are recorded as
-    (x, y, best achieved distance), never raised.
+    (x, y, best achieved distance), never raised.  A point of another
+    shift raises MismatchedSystems.
     """
     report = RecoveryReport()
     t = system.threshold_exponent
-    width = None
+    width, k = None, system.alphabet_size
     for x, y in pairs:
         diff = diff_mask(x, y)
-        if x.width != width:
+        if x.width != width or x.alphabet_size != k:
+            system.check_point(x)
             width = x.width
             hypothesis = window_mask(width, ORIGIN, n)
             # v acts through its residue mod w; ball(w // 2) holds every residue

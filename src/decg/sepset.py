@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .action import ORIGIN, ShiftDistance, ShiftSystem, diff_mask, window_mask
+from .action import ORIGIN, ShiftDistance, ShiftSystem, window_mask
 from .errors import RangeTooSmall
 from .intlog import ceil_exp, floor_ln
 
@@ -69,11 +69,9 @@ def greedy_separated(
     kept: list = []
     seen: set[tuple[int, ...]] = set()
     for p in points:
-        system.check_point(p)
-        if kept:
-            diff_mask(p, kept[0])  # raises MismatchedSystems for a point of another period
-        else:
-            window = window_mask(p.width, ORIGIN, e)
+        if not kept:
+            width, window = p.width, window_mask(p.width, ORIGIN, e)
+        system.check_point(p, width)
         key = tuple(plane & window for plane in p.planes)
         if key not in seen:
             seen.add(key)
@@ -87,7 +85,7 @@ def separation_check(system: ShiftSystem, points: Sequence, epsilon: ShiftDistan
     A point of another shift raises MismatchedSystems."""
     e = _positive_exponent(epsilon)
     for p in points:
-        system.check_point(p)
+        system.check_point(p, points[0].width)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             if not system.distance_at_least(points[i], points[j], e):

@@ -10,12 +10,15 @@ per-color edge scan that `color_classes` replaced, and
 `opposite_ramsey_reference` the enumerator the opposite-Ramsey oracle ran
 before its bounded clique search, forward checking and propagation.
 `greedy_separated` is the pairwise first-fit loop that the keyed greedy
-replaced, `read_decg` the whole-text DECG v1 reader that the streaming
-one replaced, and `probe_question` the norm-range search that the probe's
-single construction replaced.  `max_clique` is the clique search before
-it took a partition hint and searched the vertices' own labels over a
-lazily built order: it relabels every row up front into the order of
-`degeneracy_order`, so it shares no order code with the package.
+replaced, over this file's `distance_at_least` scan, `read_decg` the
+whole-text DECG v1 reader that the streaming one replaced, and
+`probe_question` the norm-range search that the probe's single
+construction replaced, re-checked by this file's `min_diff_vector` and
+`shifted_exponent` rather than the package's masks.  `max_clique` is the
+clique search before it took a partition hint and searched the vertices'
+own labels over a lazily built order: it relabels every row up front into
+the order of `degeneracy_order`, so it shares no order code with the
+package.
 `revalidate_edges` rechecks each edge by the ring scan
 `revalidation_exponent`, so it shares no mask code with the package's.
 `color_classes` is the one-pass build of every class's masks that the
@@ -43,7 +46,6 @@ from decg import (
     ball_vectors,
     parse_pattern,
     ring_vectors,
-    shift_min_diff,
 )
 from decg.ramsey import edge_list
 
@@ -104,10 +106,14 @@ def distance_at_least(x, y, exponent: int) -> bool:
 
 
 def greedy_separated(system, points, exponent: int) -> list:
-    """First-fit greedy by one pairwise distance test against every kept point."""
+    """First-fit greedy by one pairwise `distance_at_least` scan against every
+    kept point.  A point over another alphabet than the system's, or of
+    another period than the first point, raises MismatchedSystems."""
     kept = []
     for p in points:
-        if all(system.distance_at_least(p, q, exponent) for q in kept):
+        if p.alphabet_size != system.alphabet_size or (kept and p.width != kept[0].width):
+            raise MismatchedSystems(f"(w={p.width}, k={p.alphabet_size}) is off the stream's shift")
+        if all(distance_at_least(p, q, exponent) for q in kept):
             kept.append(p)
     return kept
 
@@ -248,7 +254,8 @@ def opposite_ramsey_reference(p: int, q: int) -> tuple[int, tuple[int, ...]]:
 
 def probe_question(system: ShiftSystem, n: int):
     """The recovery-scale probe as a search over norms s in
-    [n + t + 1, n*n], each candidate re-verified by translate-and-scan."""
+    [n + t + 1, n*n], each candidate re-verified by this file's ring and
+    coset scans of the pair's differing cells, with no translated copies."""
     if n < 1:
         raise ValueError("n must be >= 1")
     t = system.threshold_exponent
@@ -257,13 +264,14 @@ def probe_question(system: ShiftSystem, n: int):
         width = 2 * s + 1
         x = PeriodicConfiguration.constant(k, width)
         y = x.with_cell(s, 0, 1)
-        d = shift_min_diff(x, y)
+        d = min_diff_vector(x, y)[1]
         if not d >= ShiftDistance(n * n):
             continue
+        cells = diff_cells(x, y)
         best = None
         ok = True
         for v in ball_vectors(n):
-            dv = shift_min_diff(system.apply(v, x), system.apply(v, y))
+            dv = ShiftDistance(shifted_exponent(cells, v, width))
             if best is None or dv > best:
                 best = dv
             if dv >= system.threshold:
@@ -526,8 +534,6 @@ def revalidate_edges(graph: ColoredGraph):
     edge passes, else (i, j, reason) for the first bad edge."""
     t = graph.system.threshold_exponent
     verts = graph.vertices
-    if len({(x.width, x.alphabet_size) for x in verts}) > 1:
-        raise MismatchedSystems("the graph's vertices mix periods or alphabets")
     for i, colors, exponents in graph.rows():
         x = verts[i]
         for j, (c, stored) in enumerate(zip(colors, exponents), i + 1):

@@ -73,7 +73,7 @@ def test_criterion_1_main_pipeline_n1():
         assert len(graph.colors) == 9
         assert len(graph.colors_used()) <= 9
         assert revalidate_edges(graph) is None  # threshold exponent <= 3
-        assert all(q <= 3 for q in graph.edge_quality)
+        assert all(q <= 3 for q in graph.edge_quality.values())
         report = mono_clique_report(graph)
         assert report.overall_max == 2
         assert report.separation_passed

@@ -134,6 +134,26 @@ def test_apply_rejects_foreign_alphabet():
         system.apply(LatticeVector(0, 0), p3)
 
 
+def test_check_point_refuses_another_alphabet_or_period():
+    system = ShiftSystem(2)
+    x = PeriodicConfiguration.constant(2, 3)
+    system.check_point(x)
+    system.check_point(x, 3)
+    with pytest.raises(MismatchedSystems, match="point of period 3 among points of period 5"):
+        system.check_point(x, 5)
+    with pytest.raises(MismatchedSystems, match="point over 3 symbols in a 2-symbol shift"):
+        system.check_point(PeriodicConfiguration.constant(3, 3), 3)
+
+
+def test_distance_at_least_refuses_points_of_another_shift():
+    x3, y3 = sample_periodic_points(3, 3, 2, 1)
+    with pytest.raises(MismatchedSystems, match="point over 3 symbols in a 2-symbol shift"):
+        ShiftSystem(2).distance_at_least(x3, y3, 1)
+    with pytest.raises(MismatchedSystems):  # y is checked against x by diff_mask
+        ShiftSystem(2).distance_at_least(PeriodicConfiguration.constant(2, 3), y3, 1)
+    assert ShiftSystem(3).distance_at_least(x3, y3, 1)
+
+
 @pytest.mark.parametrize("w", range(1, 10))
 def test_scan_order_numbers_every_ball_as_a_prefix(w):
     vectors, bit = scan_order(w)
@@ -268,8 +288,8 @@ def test_threshold_exponent_matches_repeated_products_on_random_alphas():
 @pytest.mark.parametrize(
     "alpha",
     [
-        Fraction(100001, 100000),  # t near 138 630: refused by the O(1) pre-check
-        Fraction(2955, 2954),  # t = 4097: passes the pre-check, refused exactly
+        Fraction(100001, 100000),  # t near 138 630: fails the one top-power test
+        Fraction(2955, 2954),  # t = 4097, just past the cap: fails the same test
         Fraction(2**64 + 1, 2**64),
         Fraction(2**65, 3),
     ],

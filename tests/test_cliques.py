@@ -498,12 +498,17 @@ def test_row_revalidation_names_each_kind_of_bad_edge(colors, exponents, bad):
 
 @pytest.mark.parametrize("other", [PeriodicConfiguration.constant(2, 5), PeriodicConfiguration.constant(3, 3)])
 def test_revalidation_refuses_vertices_from_different_shifts(other):
+    # the graph refuses such vertices itself, so revalidation never meets them
     x = PeriodicConfiguration.constant(2, 3)
-    g = ColoredGraph(SYSTEM, 1, (x, x.with_cell(0, 0, 1), other), array("B", (4, 4, 4)), {})
     with pytest.raises(MismatchedSystems):
-        reference.revalidate_edges(g)
-    with pytest.raises(MismatchedSystems):
-        revalidate_edges(g)
+        ColoredGraph(SYSTEM, 1, (x, x.with_cell(0, 0, 1), other), array("B", (4, 4, 4)), {})
+    # one period, but not the graph's alphabet
+    z = PeriodicConfiguration.constant(3, 3)
+    vertices = (z, z.with_cell(0, 0, 1), z.with_cell(0, 0, 2))
+    with pytest.raises(MismatchedSystems, match="point over 3 symbols in a 2-symbol shift"):
+        ColoredGraph(SYSTEM, 1, vertices, array("B", (4, 4, 4)), {})
+    g = ColoredGraph(ShiftSystem(3), 1, vertices, array("B", (4, 4, 4)), {})
+    assert revalidate_edges(g) is None and reference.revalidate_edges(g) is None
 
 
 def test_opposite_upper_bound_certificates():

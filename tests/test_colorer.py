@@ -605,6 +605,8 @@ def _signed_edit(line_no: int, written: str, read: str) -> bytes:
         (10, " 0", " -0"),
         (10, " 0", " +0"),
         (10, " 0", " 0_0"),
+        (10, "e 0 1 ", "e 0 1 x"),  # not an integer at all
+        (10, " 0", " -1"),  # the writer's form, but a negative exponent
     ],
 )
 def test_reader_refuses_integers_the_writer_would_not_write(line_no, written, read):
@@ -628,6 +630,14 @@ def test_reader_refuses_a_vertex_of_another_shift(written, read, message):
     for reader in (read_decg, reference.read_decg):
         with pytest.raises(BadFormat, match=f"^line 6: {message}$"):
             reader(data)
+
+
+@pytest.mark.parametrize("i, j", [(2, 1), (1, 1), (0, 3), (-1, 0)])
+def test_edge_index_refuses_pairs_out_of_order_or_range(i, j):
+    g = color_graph(SYSTEM, sample_periodic_points(2, 3, 3, seed=1), 1)
+    assert [g.edge_index(0, 1), g.edge_index(0, 2), g.edge_index(1, 2)] == [0, 1, 2]
+    with pytest.raises(IndexError, match=f"bad edge \\({i}, {j}\\)"):
+        g.edge_index(i, j)
 
 
 def test_graph_refuses_no_vertex_a_wrong_edge_count_and_a_bad_sampled_tag():

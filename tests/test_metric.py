@@ -11,6 +11,7 @@ import reference
 from decg import (
     InconsistentCertificate,
     LatticeVector,
+    MismatchedSystems,
     NoWitness,
     PeriodicConfiguration,
     ShiftDistance,
@@ -19,6 +20,7 @@ from decg import (
     enumerate_periodic_points,
     find_witness,
     probe_question,
+    sample_periodic_points,
     shift_min_diff,
     verify_recovery,
 )
@@ -130,6 +132,17 @@ def test_verify_recovery_skips_far_pairs():
     report5 = verify_recovery(SYSTEM, [(x, y)], 5)
     assert report5.pairs_checked == 1
     assert report5.ok
+
+
+def test_verify_recovery_refuses_points_of_another_shift():
+    p, q, r, s = sample_periodic_points(3, 3, 4, 1)
+    with pytest.raises(MismatchedSystems, match="point over 3 symbols in a 2-symbol shift"):
+        verify_recovery(SYSTEM, [(p, q), (r, s)], 1)
+    # a first pair of the shift does not let a later one through
+    x = PeriodicConfiguration.constant(2, 3)
+    with pytest.raises(MismatchedSystems):
+        verify_recovery(SYSTEM, [(x, x.with_cell(0, 0, 1)), (r, s)], 1)
+    assert verify_recovery(ShiftSystem(3), [(p, q), (r, s)], 1).pairs_checked == 2
 
 
 def test_probe_question_no_counterexample_at_small_n():

@@ -30,6 +30,7 @@ from decg import (
     sandwich_report,
     verify_extremal,
 )
+from decg.intlog import ceil_exp, floor_ln
 from decg.ramsey import DEFAULT_ORACLE_CAP, bounds_record, edge_list
 
 
@@ -289,6 +290,21 @@ def test_lr_lower():
     assert lr_lower(3, 3, Fraction(1, 3)) == 8
     with pytest.raises(ValueError):
         lr_lower(2, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (functools.partial(floor_ln, 0), "floor_ln requires n >= 1, got 0"),
+        (functools.partial(ceil_exp, -1), "ceil_exp requires j >= 0, got -1"),
+        (functools.partial(ramsey_holds, 0, 3, 4), "parameters must satisfy p >= 1"),
+        (functools.partial(lr_lower, 0, 1), "g and k must be >= 1"),
+    ],
+    ids=["floor_ln", "ceil_exp", "ramsey_holds", "lr_lower"],
+)
+def test_exact_helpers_refuse_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_lower_bound_below_upper_bound():

@@ -12,6 +12,7 @@ from decg import (
     MismatchedSystems,
     PeriodicConfiguration,
     RangeTooSmall,
+    SeparatedSet,
     ShiftDistance,
     ShiftSystem,
     dimension_sequence,
@@ -86,7 +87,11 @@ def test_points_over_another_alphabet_are_refused():
         greedy_separated(SYSTEM, points, SYSTEM.epsilon(1))
     with pytest.raises(MismatchedSystems, match="point over 3 symbols in a 2-symbol shift"):
         separation_check(SYSTEM, points, SYSTEM.epsilon(1))
-    assert len(greedy_separated(ShiftSystem(3), points, SYSTEM.epsilon(1))) == 5
+    with pytest.raises(MismatchedSystems):
+        reference.greedy_separated(SYSTEM, points, 1)
+    kept = greedy_separated(ShiftSystem(3), points, SYSTEM.epsilon(1)).points
+    assert kept == tuple(reference.greedy_separated(ShiftSystem(3), points, 1))
+    assert len(kept) == 5
 
 
 def test_greedy_requires_positive_epsilon():
@@ -179,6 +184,29 @@ def test_dimension_sequence_plain_integers():
 def test_dimension_sequence_rejects_alpha_at_most_1(alpha):
     with pytest.raises(ValueError, match="alpha must exceed 1"):
         dimension_sequence(GrowthSequence.shift_closed_form(2, 2), alpha)
+
+
+def test_separated_set_and_dimension_sequence_refuse_bad_input():
+    with pytest.raises(ValueError, match="maximal_wrt must be 'exhaustive' or 'stream'"):
+        SeparatedSet((), SYSTEM.epsilon(1), maximal_wrt="x")
+    with pytest.raises(ValueError, match="empty growth sequence"):
+        dimension_sequence(GrowthSequence(()), Fraction(2))
+
+
+@pytest.mark.parametrize(
+    "mode, parameter, grid_limit, error, message",
+    [
+        ("exponential-ratio", 0, 10**6, ValueError, "comparison base must be positive"),
+        ("exponential-ratio", Fraction(-1, 2), 10**6, ValueError, "base must be positive"),
+        ("log-composition", 0, 10**6, ValueError, "polynomial degree must be >= 1"),
+        # the grid to 7 is ceil(e**0) = 1 and ceil(e**1) = 3 only
+        ("log-composition", 5, 7, RangeTooSmall, "geometric grid up to 7 has 2 points"),
+    ],
+)
+def test_superpoly_refuses_bad_parameters(mode, parameter, grid_limit, error, message):
+    seq = GrowthSequence.shift_closed_form(2, 14)
+    with pytest.raises(error, match=message):
+        superpoly_check(seq, mode, parameter, grid_limit=grid_limit)
 
 
 def test_superpoly_exponential_ratio():
