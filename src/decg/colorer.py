@@ -100,7 +100,7 @@ class ColorSet:
         return (x + n) * (2 * n + 1) + (y + n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColoredGraph:
     """A complete graph with a total edge -> color map and witness metadata.
 
@@ -109,6 +109,9 @@ class ColoredGraph:
     maps an edge's index to the distance exponent achieved after shifting
     the endpoints by its color vector, where that is not 0 (the best).
     Its vertices pass `system.check_point` with one period, so DECG reads what it writes.
+    Fields cannot be assigned, and `dataclasses.replace` drops the cached
+    checksum, so the cache names this graph's own text unless the edge
+    array or exponent dict is edited in place.
     """
 
     system: ShiftSystem
@@ -117,7 +120,7 @@ class ColoredGraph:
     edge_colors: array
     edge_quality: dict[int, int]
     sampled: str = "full"
-    _checksum: str | None = field(default=None, repr=False, compare=False)
+    _checksum: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = len(self.vertices)
@@ -392,7 +395,7 @@ def _signed_pieces(graph: ColoredGraph) -> Iterator[bytes]:
         h = hasher.row(h, i, tails)
         prefix = b"e %d " % i
         yield b"".join([prefix + j + tail for j, tail in zip(indices[i + 1 :], tails)])
-    graph._checksum = f"{h:016x}"
+    object.__setattr__(graph, "_checksum", f"{h:016x}")
     yield f"end {graph._checksum}\n".encode("ascii")
 
 
@@ -584,12 +587,13 @@ def _read_lines(fh) -> ColoredGraph:
     if actual != stored:
         raise ChecksumMismatch(f"stored checksum {stored}, recomputed {actual}")
 
-    return ColoredGraph(
+    graph = ColoredGraph(
         system=system,
         n=n,
         vertices=tuple(vertices),
         edge_colors=edge_colors,
         edge_quality=edge_quality,
         sampled=sampled,
-        _checksum=stored,
     )
+    object.__setattr__(graph, "_checksum", stored)
+    return graph

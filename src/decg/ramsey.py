@@ -21,11 +21,29 @@ minimum `best`:
 
 Classes only grow along a prefix and best only falls, so every dropped
 subtree and every color a forcing skips holds only colorings that could
-not lower best: r and the first extremal coloring are those of the
-unpruned enumeration.  ramsey_holds runs the same search with best
-starting at k.  `cap` bounds the work, not the input: a search that
-reaches its (cap + 1)-th node raises CapExceeded.  Instances the search
-cannot hold are refused before anything is allocated: more edges than
+not lower best.
+
+Vertex-relabeling symmetry is broken by lex-leader constraints (Crawford,
+Ginsberg, Luks & Roy, 1996) on the swaps of adjacent vertices (Codish,
+Miller, Prosser & Stuckey, 2019): a coloring c is kept only if c <= g(c)
+in edge order for the swap g of every two vertices a and a + 1.  c and
+g(c) differ only where (i, a) meets (i, a + 1), i < a, and then where
+(a, j) meets (a + 1, j), j > a + 1, and these pairs complete in edge
+order.  While every completed pair of a swap is equal, the edge that
+completes the next one, chosen or forced, drops the prefix when its
+partner, colored earlier, has the larger color.  Every dropped coloring
+fails some c <= g(c).  The coloring the unpruned enumeration finds, the
+lexicographically first extremal c in first-use color order, never
+does: g(c) is extremal, so is its first-use relabeling canon(g(c)), and
+that relabeling never raises lexicographic rank, so
+c <= canon(g(c)) <= g(c).  So r and the first extremal coloring are
+those of the unpruned enumeration.  ramsey_holds runs the same search
+with best starting at k: the colorings with no monochromatic K_k are
+closed under relabeling, so one exists iff a lex-leader one does.
+
+`cap` bounds the work, not the input: a search that reaches its
+(cap + 1)-th node raises CapExceeded.  Instances the search cannot hold
+are refused before anything is allocated: more edges than
 MAX_SEARCH_EDGES, or (for opposite_ramsey_exact) a first leaf beyond the
 budget.  Fresh colors enter one per edge, so at most min(p, edges)
 classes are ever used, and only that many are held.
@@ -42,8 +60,8 @@ from .colorer import ColoredGraph
 from .errors import CapExceeded, InconsistentCertificate
 from .intlog import floor_ln
 
-# search nodes; (2, 10) needs 24 755, and (2, 12) reaches this in about
-# 9 s on a 2-core host under CPython 3.11
+# search nodes; (2, 10) needs 292, (2, 16) 45 369 in about 8 s on a
+# 2-core host under CPython 3.11
 DEFAULT_ORACLE_CAP = 100_000
 
 # The search recurses once per edge.  K_32 has 496 edges, so this keeps the
@@ -141,6 +159,28 @@ def _search(
     trail: list[int] = []  # forced edges, in forcing order
     best_col = None
     nodes = 0
+    # lex[t]: the lex-leader pairs edge t completes, as (a, s): the swap of
+    # vertices a and a + 1 compares edge s, colored earlier, with edge t
+    index = {e: t for t, e in enumerate(edges)}
+    lex = [
+        ([(j - 1, index[i, j - 1])] if i < j - 1 else [])
+        + ([(i - 1, index[i - 1, j])] if i else [])
+        for i, j in edges
+    ]
+
+    def lead(t: int, c: int, tied: int) -> int:
+        # `tied` has bit a while every completed pair of swap a is equal;
+        # rec passes it down, so backtracking restores it.  Returns it
+        # updated for edge t in color c, or -1 when that makes the
+        # coloring lexicographically larger than its image.
+        for a, s in lex[t]:
+            if tied >> a & 1:
+                x = col[s]
+                if x > c:
+                    return -1
+                if x < c:
+                    tied ^= 1 << a
+        return tied
 
     def propagate(t: int, cur: int) -> int:
         # Every color is in use, so an open edge may only take a color
@@ -173,7 +213,7 @@ def _search(
                     changed = True
         return cur
 
-    def rec(t: int, cur: int, used: int):
+    def rec(t: int, cur: int, used: int, tied: int):
         nonlocal best, best_col, nodes
         nodes += 1
         if nodes > cap:
@@ -189,14 +229,19 @@ def _search(
             # nearest unforced edge above checked cur < best after that,
             # and no leaf lies between, so best has not fallen since.
             assert cur < best
-            col[t] = c
-            rec(t + 1, cur, used)
+            tied = lead(t, c, tied)
+            if tied >= 0:
+                col[t] = c
+                rec(t + 1, cur, used, tied)
             return
         i, j = edges[t]
         bi, bj = 1 << j, 1 << i
         for c in range(min(used + 1, p)):
             if best <= stop:
                 return
+            now = lead(t, c, tied)
+            if now < 0:
+                continue
             rows = adj[c]
             new = _forced_order(rows, i, j, cur, best)
             if new >= best:
@@ -209,7 +254,7 @@ def _search(
             if nxt == p:
                 new = propagate(t, new)
             if new < best:
-                rec(t + 1, new, nxt)
+                rec(t + 1, new, nxt, now)
             while len(trail) > mark:
                 u = trail.pop()
                 a, b = edges[u]
@@ -220,7 +265,7 @@ def _search(
             rows[i] &= ~bi
             rows[j] &= ~bj
 
-    rec(0, 1, 0)
+    rec(0, 1, 0, (1 << (q - 1)) - 1)
     return best, best_col, nodes
 
 

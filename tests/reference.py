@@ -438,15 +438,16 @@ def read_decg(source) -> ColoredGraph:
     if actual != stored:
         raise ChecksumMismatch(f"stored checksum {stored}, recomputed {actual}")
 
-    return ColoredGraph(
+    graph = ColoredGraph(
         system=system,
         n=n,
         vertices=tuple(vertices),
         edge_colors=array(colors.typecode, edge_colors),
         edge_quality={e: x for e, x in enumerate(edge_quality) if x},
         sampled=sampled,
-        _checksum=stored,
     )
+    object.__setattr__(graph, "_checksum", stored)
+    return graph
 
 
 # --- the clique search and the edge check before the pigeonhole hint ---------

@@ -1,5 +1,6 @@
 """Tests for the edge colorer and the DECG file format."""
 
+import dataclasses
 import functools
 import gc
 import random
@@ -251,9 +252,27 @@ def test_write_decg_and_checksum_match_decg_dumps(tmp_path, graph):
     data = path.read_bytes()
     assert data == decg_dumps(graph).encode()
     body = data[: data.rindex(b"end ")]
-    fresh = read_decg(data)
-    fresh._checksum = None  # hashed again from the pieces, without the text
+    fresh = dataclasses.replace(read_decg(data))  # hashed again from the pieces
     assert fresh.checksum_hex() == f"{reference.fnv1a64(body):016x}"
+
+
+def test_a_replaced_graph_does_not_keep_the_old_checksum():
+    graph = read_decg(decg_dumps(_graph(2, 1)).encode())
+    colors = graph.edge_colors[:]
+    colors[0] = (colors[0] + 1) % len(graph.colors)
+    changed = dataclasses.replace(graph, edge_colors=colors)
+    checksum = changed.checksum_hex()  # before decg_dumps, which would set it
+    assert checksum != graph.checksum_hex()
+    assert decg_dumps(changed).endswith(f"end {checksum}\n")
+
+
+def test_a_graph_refuses_assignment():
+    graph = _graph(2, 1)
+    graph.checksum_hex()
+    for name, value in [("system", ShiftSystem(3)), ("edge_quality", {0: 1}), ("_checksum", None)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(graph, name, value)
+    assert read_decg(decg_dumps(graph).encode()) == graph
 
 
 def _with_exponents(g, quality):

@@ -212,6 +212,7 @@ def test_ramsey_holds_basics():
     assert ramsey_holds(2, 3, 6)
     assert not ramsey_holds(2, 3, 5)
     assert not ramsey_holds(2, 4, 6)
+    assert not ramsey_holds(3, 3, 16)  # R_3(3) > 16 (Greenwood & Gleason, 1955)
 
 
 def test_oracle_cap():
@@ -220,7 +221,7 @@ def test_oracle_cap():
         opposite_ramsey_exact(2, 12, cap=1000)
     with pytest.raises(CapExceeded, match="budget of 10 nodes"):
         ramsey_holds(3, 3, 8, cap=10)
-    # 2^28 and 3^28 nominal colorings, 75 and 119 search nodes
+    # 2^28 and 3^28 nominal colorings, 72 and 62 search nodes
     assert opposite_ramsey_exact(2, 8).r == 3
     assert not ramsey_holds(3, 3, 8)
 
@@ -249,10 +250,21 @@ def test_colors_past_the_edge_count_change_nothing(q):
 
 # Taken from the forward-checking search that propagation replaced (23 s
 # there): the lexicographically first 2-coloring of K_10 with no
-# monochromatic K_4.
+# monochromatic K_4.  Propagation alone took 24 755 nodes, and with the
+# lex-leader prune the search takes 292.
 P2_Q10_COLORING = (
     0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 1, 1,
     0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0,
+)
+
+# Taken from the propagation search before the lex-leader prune, run once
+# with cap=400000 (262 547 nodes, 19 s on a 2-core host under CPython
+# 3.11): the lexicographically first 2-coloring of K_11 with no
+# monochromatic K_4.  The default budget refused it there.
+P2_Q11_COLORING = (
+    0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 1,
+    1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0,
+    0, 0, 0, 0, 0, 0, 1,
 )
 
 
@@ -262,6 +274,31 @@ def test_p2_q10_is_pinned():
     assert result.extremal_coloring == P2_Q10_COLORING
     assert verify_extremal(result)
     assert result.nodes <= DEFAULT_ORACLE_CAP
+
+
+def test_p2_q11_is_pinned_under_the_default_budget():
+    result = opposite_ramsey_exact(2, 11)
+    assert result.r == 3
+    assert result.extremal_coloring == P2_Q11_COLORING
+    assert verify_extremal(result)
+
+
+# r(3, 13) = 2 in 3 825 nodes, and the first 3-coloring of K_13 with no
+# monochromatic triangle.  The default budget refused (3, 13) before the
+# lex-leader prune; verify_extremal re-checks the coloring through the
+# clique engine, which shares no code with the search.
+P3_Q13_COLORING = (
+    0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 1, 1, 2, 2, 0, 0, 1, 1, 1, 0, 0, 2,
+    1, 2, 1, 1, 0, 0, 2, 0, 0, 2, 1, 1, 1, 0, 2, 0, 0, 2, 1, 0, 0, 1, 1, 2,
+    0, 0, 0, 2, 2, 0, 1, 0, 0, 2, 0, 2, 0, 1, 2, 0, 0, 2, 2, 1, 2, 2, 1, 2,
+    0, 2, 1, 1, 0, 1,
+)
+
+
+def test_p3_q13_is_pinned():
+    result = opposite_ramsey_exact(3, 13)
+    assert (result.r, result.extremal_coloring, result.nodes) == (2, P3_Q13_COLORING, 3825)
+    assert verify_extremal(result)
 
 
 def test_oracle_validation():
