@@ -9,6 +9,7 @@ opposite-Ramsey numbers and classical Ramsey bounds.
 __version__ = "0.1.0"
 
 from .action import (
+    ColorSet,
     LatticeVector,
     PeriodicConfiguration,
     ShiftDistance,
@@ -32,7 +33,6 @@ from .cliques import (
 )
 from .colorer import (
     ColoredGraph,
-    ColorSet,
     color_graph,
     decg_dumps,
     fnv1a64,

@@ -4,7 +4,8 @@ The shift acts on doubly periodic configurations: a point is a w x w
 fundamental domain of symbols tiled over Z^2, so every metric quantity is
 a finite, exact computation.  Shift distances are powers alpha**-m and are
 stored as integer exponents (log domain), never floats, so all comparisons
-downstream are exact.
+downstream are exact.  `ColorSet` is the window of shifts of norm <= n
+that colors a graph's edges, indexed by arithmetic.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import bisect
 import functools
 import itertools
 import re
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import CapExceeded, MismatchedSystems
+from .errors import CapExceeded, MismatchedSystems, UnknownColor
 
 DEFAULT_ENUMERATION_CAP = 1 << 25
 
@@ -53,6 +56,46 @@ class LatticeVector(NamedTuple):
 
 
 ORIGIN = LatticeVector(0, 0)
+
+
+@dataclass(frozen=True)
+class ColorSet:
+    """The window {v : |v| <= n}, row-major from (-n, -n) to (n, n): color c
+    is divmod(c, 2n+1) - (n, n), so no palette size costs any memory."""
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("n must be >= 0")
+        if (2 * self.n + 1) ** 2 > sys.maxsize:  # len() and the arrays cannot hold it
+            raise ValueError(f"a palette of {(2 * self.n + 1) ** 2} colors exceeds {sys.maxsize}")
+
+    def __len__(self) -> int:
+        return (2 * self.n + 1) ** 2
+
+    @property
+    def typecode(self) -> str:
+        """The smallest array typecode that holds every color index."""
+        return next(t for t in "BHIQ" if (2 * self.n + 1) ** 2 <= 1 << 8 * array(t).itemsize)
+
+    def __getitem__(self, c: int) -> LatticeVector:
+        n, side = self.n, 2 * self.n + 1
+        if not 0 <= c < side * side:
+            raise UnknownColor(f"color index {c} outside palette of {side * side}")
+        x, y = divmod(c, side)
+        return LatticeVector(x - n, y - n)
+
+    def __iter__(self) -> Iterator[LatticeVector]:
+        return map(self.__getitem__, range(len(self)))
+
+    def index_of(self, v: LatticeVector) -> int:
+        n = self.n
+        x, y = v
+        if max(abs(x), abs(y)) > n:
+            raise UnknownColor(f"vector {v} outside |v| <= {n}")
+        return (x + n) * (2 * n + 1) + (y + n)
+
 
 def ring_vectors(radius: int) -> Iterator[LatticeVector]:
     """Vectors of sup norm exactly `radius`, in (x, y) lexicographic order."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations
+from operator import and_
 from typing import Callable, Iterator, Sequence
 
 from .action import LatticeVector, shift_min_diff, shifted_exponent, window_mask
@@ -349,8 +350,9 @@ def revalidate_edges(graph: ColoredGraph):
     valid when e is at most the threshold and is the exact exponent the
     pair achieves after shifting by v.  Row i's diff masks come from one
     pass over the bit-plane columns.  An edge with e = 0 passes at once
-    when its diff mask meets v's cell; every other edge is measured by
-    growing coset-norm windows around v, which also names what is wrong.
+    when its diff mask meets v's cell, a row of them in one pass; every
+    other edge is measured by growing coset-norm windows around v, which
+    also names what is wrong, and counted as `edges_measured`.
     The graph's constructor has checked its vertices against its shift.
     Returns None when all edges pass, else (i, j, reason) for the first
     bad edge.
@@ -364,22 +366,30 @@ def revalidate_edges(graph: ColoredGraph):
     width = verts[0].width
     sites = {c: window_mask(width, v, 0) for c, v in vectors.items()}  # radius 0: v's cell
     columns = list(zip(*(x.planes for x in verts)))  # plane j of every vertex
-    for i, colors, exponents in graph.rows():
-        diffs = [0] * len(colors)  # diff masks of the pairs (i, j > i)
-        for column in columns:
-            own = column[i]
-            diffs = [d | own ^ other for d, other in zip(diffs, column[i + 1 :])]
-        for j, (diff, c, stored) in enumerate(zip(diffs, colors, exponents), i + 1):
-            if not stored and diff & sites[c]:
+    measured = 0
+    try:
+        for i, colors, exponents in graph.rows():
+            own = columns[0][i]
+            diffs = [own ^ other for other in columns[0][i + 1 :]]  # diff masks of (i, j > i)
+            for column in columns[1:]:
+                own = column[i]
+                diffs = [d | own ^ other for d, other in zip(diffs, column[i + 1 :])]
+            if not any(exponents) and all(map(and_, diffs, map(sites.__getitem__, colors))):
                 continue
-            achieved = shifted_exponent(diff, width, vectors[c])
-            if achieved is None:
-                return (i, j, "endpoints are identical points")
-            if achieved > t:
-                return (i, j, f"achieved exponent {achieved} exceeds threshold {t}")
-            if achieved != stored:
-                return (i, j, f"stored exponent {stored}, recomputed {achieved}")
-    return None
+            for j, (diff, c, stored) in enumerate(zip(diffs, colors, exponents), i + 1):
+                if not stored and diff & sites[c]:
+                    continue
+                measured += 1
+                achieved = shifted_exponent(diff, width, vectors[c])
+                if achieved is None:
+                    return (i, j, "endpoints are identical points")
+                if achieved > t:
+                    return (i, j, f"achieved exponent {achieved} exceeds threshold {t}")
+                if achieved != stored:
+                    return (i, j, f"stored exponent {stored}, recomputed {achieved}")
+        return None
+    finally:
+        count("edges_measured", measured)
 
 
 @dataclass(frozen=True)

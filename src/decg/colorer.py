@@ -4,8 +4,13 @@ Every unordered pair of an alpha**-n-separated set is separated to
 1/(4*alpha) by some group element of norm <= n; that element is the edge's
 color.  Colors live in the square window C_n = {v : |v| <= n}, ordered
 row-major from (-n, -n) to (n, n) and decoded by arithmetic, never from a
-table.  Graphs serialize to the DECG text format, a line-oriented file
-with an FNV-1a-64 trailer checksum.
+table (`decg.action.ColorSet`).  Graphs serialize to the DECG text format, a line-oriented file
+with an FNV-1a-64 trailer checksum.  The writer formats a row of edge
+lines by mapping its colors to their remembered tails and joining them;
+the reader takes the edge lines in batches of about 4 KB and passes a run
+of them in a few whole-list passes while each is "e i j " and a tail it
+has already checked, so it holds at most one batch of unchecked lines
+plus one line, and checks only the other lines one at a time.
 
 FNV-1a's xor touches only the low byte of the state, so for any byte
 string s and 64-bit state h, fnv1a64(s, h) == (h * P**len(s) +
@@ -21,15 +26,15 @@ from __future__ import annotations
 import io
 import re
 import struct
-import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .action import (
     ORIGIN,
-    LatticeVector,
+    ColorSet,
     PeriodicConfiguration,
     ShiftSystem,
     encode_pattern,
@@ -37,7 +42,8 @@ from .action import (
     scan_order,
     window_mask,
 )
-from .errors import BadFormat, ChecksumMismatch, NoWitness, UnknownColor
+from .errors import BadFormat, ChecksumMismatch, NoWitness
+from .record import count
 from .sepset import SeparatedSet
 
 _MASK64 = (1 << 64) - 1
@@ -59,45 +65,6 @@ def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
         h ^= b
         h = (h * _FNV_PRIME) & _MASK64
     return h
-
-
-@dataclass(frozen=True)
-class ColorSet:
-    """The window {v : |v| <= n}, row-major from (-n, -n) to (n, n): color c
-    is divmod(c, 2n+1) - (n, n), so no palette size costs any memory."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if (2 * self.n + 1) ** 2 > sys.maxsize:  # len() and the arrays cannot hold it
-            raise ValueError(f"a palette of {(2 * self.n + 1) ** 2} colors exceeds {sys.maxsize}")
-
-    def __len__(self) -> int:
-        return (2 * self.n + 1) ** 2
-
-    @property
-    def typecode(self) -> str:
-        """The smallest array typecode that holds every color index."""
-        return next(t for t in "BHIQ" if (2 * self.n + 1) ** 2 <= 1 << 8 * array(t).itemsize)
-
-    def __getitem__(self, c: int) -> LatticeVector:
-        n, side = self.n, 2 * self.n + 1
-        if not 0 <= c < side * side:
-            raise UnknownColor(f"color index {c} outside palette of {side * side}")
-        x, y = divmod(c, side)
-        return LatticeVector(x - n, y - n)
-
-    def __iter__(self) -> Iterator[LatticeVector]:
-        return map(self.__getitem__, range(len(self)))
-
-    def index_of(self, v: LatticeVector) -> int:
-        n = self.n
-        x, y = v
-        if max(abs(x), abs(y)) > n:
-            raise UnknownColor(f"vector {v} outside |v| <= {n}")
-        return (x + n) * (2 * n + 1) + (y + n)
 
 
 @dataclass(frozen=True)
@@ -213,25 +180,26 @@ def color_graph(
         system.check_point(p, width)
     window = window_mask(width, ORIGIN, n)  # the scan ranks below window.bit_length()
     vectors = scan_order(width)[0][: window.bit_length()]
-    color_of_rank = [ColorSet(n).index_of(v) for v in vectors]
+    color_of_bit = {1 << r: ColorSet(n).index_of(v) for r, v in enumerate(vectors)}  # by cell bit
     q = len(points)
     columns = [  # plane j of every vertex, cut to the window
         [plane & window for plane in column] for column in zip(*(p.planes for p in points))
     ]
     for i in range(q):
-        diffs = [0] * (q - i - 1)  # windowed diff masks of the pairs (i, j > i)
-        for column in columns:
+        own = columns[0][i]
+        diffs = [own ^ other for other in columns[0][i + 1 :]]  # windowed diff masks of (i, j > i)
+        for column in columns[1:]:
             own = column[i]
             diffs = [d | own ^ other for d, other in zip(diffs, column[i + 1 :])]
-        row = [(d & -d).bit_length() - 1 for d in diffs]  # scan rank of the witness, or -1
-        if -1 in row:
-            j = i + 1 + row.index(-1)
+        row = [color_of_bit.get(d & -d) for d in diffs]  # the witness's color, or None
+        if None in row:
+            j = i + 1 + row.index(None)
             raise NoWitness(
                 f"vertices {i} and {j} agree on the whole color window; "
                 "the input set is not separated at alpha**-n",
                 pair=(i, j),
             )
-        colors.fromlist([color_of_rank[r] for r in row])
+        colors.fromlist(row)
     return ColoredGraph(system, n, points, colors, {}, sampled)
 
 
@@ -310,14 +278,14 @@ class _EdgeHasher:
             after = bytes([(low * power + a) & 255 for low, a in enumerate(steps)])
             heads.append((power, steps, after))
         tables, seen = self.tails, self._uses
-        for tail in tails:
+        for tail, k in Counter(tails).items() if set(tails).difference(tables) else ():
             if tail in tables or len(tables) >= _TAIL_TABLES_CAP:
                 continue
-            uses = seen.get(tail, 0) + 1
-            if uses == _TAIL_TABLE_USES:
+            uses = seen.get(tail, 0) + k
+            if uses >= _TAIL_TABLE_USES:
                 seen.pop(tail, None)
                 tables[tail] = _step_table(tail)
-            elif uses > 1 or len(seen) < _CHECKED_TAILS_CAP:
+            elif tail in seen or len(seen) < _CHECKED_TAILS_CAP:
                 seen[tail] = uses
         # The head's step from low byte l gives h * m1 + a1[l], whose low
         # byte is after[l]; the index group's step follows from there.
@@ -367,18 +335,21 @@ def _head_piece(graph: ColoredGraph) -> bytes:
 
 def _edge_rows(graph: ColoredGraph) -> Iterator[tuple[int, list[bytes]]]:
     """(i, the tails "c vx vy quality\\n" of the edge lines (i, i+1..q-1))
-    for each row i.  An exponent-0 tail is looked up by its color alone."""
+    for each row i.  A row with no nonzero exponent maps its colors to
+    their exponent-0 tails in one pass."""
     vectors = graph.colors
     known: dict[int, bytes] = {}  # exponent-0 tails by color, capped like the reader's
-
-    def tail(c: int, e: int) -> bytes:
-        text = b"%d %d %d %d\n" % (c, *vectors[c], e)
-        if not e and len(known) < _CHECKED_TAILS_CAP:
-            known[c] = text
-        return text
-
     for i, colors, exps in graph.rows():
-        yield i, [tail(c, e) if e else known.get(c) or tail(c, 0) for c, e in zip(colors, exps)]
+        for c in set(colors).difference(known):
+            if len(known) < _CHECKED_TAILS_CAP:
+                known[c] = b"%d %d %d 0\n" % (c, *vectors[c])
+        if any(exps) or len(known) >= _CHECKED_TAILS_CAP:  # else every color has its tail
+            yield i, [
+                known[c] if c in known and not e else b"%d %d %d %d\n" % (c, *vectors[c], e)
+                for c, e in zip(colors, exps)
+            ]
+        else:
+            yield i, list(map(known.__getitem__, colors))
 
 
 def _signed_pieces(graph: ColoredGraph) -> Iterator[bytes]:
@@ -393,8 +364,10 @@ def _signed_pieces(graph: ColoredGraph) -> Iterator[bytes]:
     indices = [b"%d " % j for j in range(graph.vertex_count)]
     for i, tails in _edge_rows(graph):
         h = hasher.row(h, i, tails)
-        prefix = b"e %d " % i
-        yield b"".join([prefix + j + tail for j, tail in zip(indices[i + 1 :], tails)])
+        parts = [b"e %d " % i] * (3 * len(tails))  # each line's "e i ", "j " and tail
+        parts[1::3] = indices[i + 1 :]
+        parts[2::3] = tails
+        yield b"".join(parts)
     object.__setattr__(graph, "_checksum", f"{h:016x}")
     yield f"end {graph._checksum}\n".encode("ascii")
 
@@ -443,9 +416,7 @@ def _edge_fields(line_no: int, raw: bytes, i: int, j: int, colors: ColorSet) -> 
     if parts[1] != str(i) or parts[2] != str(j):
         _fail(line_no, f"edge ({parts[1]}, {parts[2]}) out of order, expected ({i}, {j})")
     try:
-        c = int(parts[3])
-        vx, vy = int(parts[4]), int(parts[5])
-        quality = int(parts[6])
+        c, vx, vy, quality = map(int, parts[3:])
     except ValueError:
         _fail(line_no, "non-integer edge fields")
     if parts[3:] != [str(c), str(vx), str(vy), str(quality)]:
@@ -464,34 +435,54 @@ def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[i
     """The edge lines of a q-vertex body, checked and hashed one row at a
     time: (colors, nonzero exponents by edge index, the continued `state`).
 
-    An edge line whose prefix is "e i j " and whose tail was already
-    checked on an earlier line passes the same checks, so it skips them.
-    Either way an accepted line is exactly that prefix and its tail, which
-    is what the row's step tables hash.
+    Lines come in batches of about 4 KB, never past the last edge line of
+    a well-formed body (a shorter line fails before any past it).  A
+    run of a row's lines passes as a whole while each starts with its
+    "e i j " and ends in a tail already checked with exponent 0, as such a
+    line passes the same checks.  The first line that does not is checked
+    on its own, and an accepted line is exactly its prefix and its tail,
+    which is what the row's step tables hash.
     """
     checked: dict[bytes, tuple[int, int]] = {}
+    zero: dict[bytes, int] = {}  # the checked tails of exponent 0, by color
     hasher = _EdgeHasher()
     edge_colors = array(colors.typecode)
     edge_quality: dict[int, int] = {}
-    readline = fh.readline
-    line_no = 4 + q
+    batch: list[bytes] = []
+    singly = 0
     for i in range(q - 1):
+        head = b"e %d %%d " % i
         tails: list[bytes] = []
-        for j in range(i + 1, q):
-            line_no += 1
-            raw = readline()
-            prefix = b"e %d %d " % (i, j)
+        while len(tails) < q - 1 - i:
+            if not batch:  # no edge line is shorter than "e 0 1 0 0 0 0\n": none is read past
+                left = q * (q - 1) // 2 - len(edge_colors)
+                batch = fh.readlines(min(4096, 14 * left - 1)) or [b""]
+            j = i + 1 + len(tails)
+            pre = list(map(head.__mod__, range(j, min(q, j + len(batch)))))  # their "e i j "
+            good = [*map(bytes.startswith, batch, pre), False].index(False)
+            known = list(map(bytes.removeprefix, batch, pre[:good]))
+            good = [*map(zero.get, known), None].index(None)
+            edge_colors.extend(map(zero.__getitem__, known[:good]))
+            tails += known[:good]
+            del batch[:good]
+            if good == len(pre):
+                continue
+            singly += 1
+            raw, prefix = batch.pop(0), pre[good]
             tail = raw[len(prefix) :]
             fields = checked.get(tail) if raw.startswith(prefix) else None
             if fields is None:
-                fields = _edge_fields(line_no, raw, i, j, colors)
+                fields = _edge_fields(5 + q + len(edge_colors), raw, i, j + good, colors)
                 if len(checked) < _CHECKED_TAILS_CAP:
                     checked[tail] = fields
-            edge_colors.append(fields[0])
+                    if not fields[1]:
+                        zero[tail] = fields[0]
             if fields[1]:
-                edge_quality[line_no - 5 - q] = fields[1]
+                edge_quality[len(edge_colors)] = fields[1]
+            edge_colors.append(fields[0])
             tails.append(tail)
         state = hasher.row(state, i, tails)
+    count("lines_checked_singly", singly)
     return edge_colors, edge_quality, state
 
 
@@ -502,9 +493,11 @@ def read_decg(source) -> ColoredGraph:
     values: integers in ASCII digits with no leading zero, alpha in lowest
     terms), the header arithmetic (edge count equals q*(q-1)/2, palette
     size equals (2n+1)**2, color indices match their vectors) and the
-    trailer checksum.  Lines are read and hashed one row at a time, so
-    memory grows with the edge count, never with the text or the header's
-    palette.  Witness validity is not checked here;
+    trailer checksum.  Edge lines are read in batches of about 4 KB and
+    hashed one row at a time, so the reader holds at most one batch of
+    unchecked lines plus one line, and memory grows with the edge count,
+    never with the text or the header's palette.  The first bad line is
+    named by its number.  Witness validity is not checked here;
     `cliques.revalidate_edges` does that.
     """
     if isinstance(source, bytes):
@@ -521,29 +514,27 @@ def _read_lines(fh) -> ColoredGraph:
         head.append(raw)
         return _line_text(line_no, raw)
 
+    def match(line_no: int, pattern: re.Pattern, what: str) -> re.Match:
+        m = pattern.fullmatch(line(line_no))
+        if m is None:
+            _fail(line_no, f"malformed {what} line")
+        return m
+
     if line(1) != f"decg {DECG_VERSION}":
         _fail(1, f"expected 'decg {DECG_VERSION}' header")
-    line2 = line(2)
-    m = _SYSTEM_RE.fullmatch(line2)
-    if m is None:
-        _fail(2, "malformed system line")
+    m = match(2, _SYSTEM_RE, "system")
     try:
         k = int(m.group(1))
         system = ShiftSystem(alphabet_size=k, alpha=Fraction(int(m.group(2)), int(m.group(3))))
     except (ValueError, ZeroDivisionError) as exc:
         _fail(2, f"bad system parameters: {exc}")
-    if line2 != _system_line(system):
+    if m.string != _system_line(system):
         _fail(2, f"alpha {m.group(2)}/{m.group(3)} is not in lowest terms")
-    m3 = _N_RE.fullmatch(line(3))
-    if m3 is None:
-        _fail(3, "malformed n line")
-    n = _header_int(3, m3.group(1))
-    m4 = _HEADER4_RE.fullmatch(line(4))
-    if m4 is None:
-        _fail(4, "malformed vertices/colors/sampled line")
-    q = _header_int(4, m4.group(1))
-    palette = _header_int(4, m4.group(2))
-    sampled = m4.group(3)
+    n = _header_int(3, match(3, _N_RE, "n").group(1))
+    m = match(4, _HEADER4_RE, "vertices/colors/sampled")
+    q = _header_int(4, m.group(1))
+    palette = _header_int(4, m.group(2))
+    sampled = m.group(3)
     if q < 1:
         _fail(4, "vertex count must be positive")
     if palette != (2 * n + 1) ** 2:
@@ -555,7 +546,6 @@ def _read_lines(fh) -> ColoredGraph:
 
     # q is untrusted until its vertex lines have been read: nothing is sized by it.
     vertices: list[PeriodicConfiguration] = []
-    width = None
     for i in range(q):
         line_no = 5 + i
         parts = line(line_no).split(" ")
@@ -569,10 +559,8 @@ def _read_lines(fh) -> ColoredGraph:
             _fail(line_no, str(exc))
         if p.alphabet_size != k:
             _fail(line_no, f"vertex alphabet {p.alphabet_size} does not match header k={k}")
-        if width is None:
-            width = p.width
-        elif p.width != width:
-            _fail(line_no, f"vertex period {p.width} differs from {width}")
+        if vertices and p.width != vertices[0].width:
+            _fail(line_no, f"vertex period {p.width} differs from {vertices[0].width}")
         vertices.append(p)
     edge_colors, edge_quality, state = _read_edges(fh, q, colors, fnv1a64(b"".join(head)))
 
@@ -587,13 +575,6 @@ def _read_lines(fh) -> ColoredGraph:
     if actual != stored:
         raise ChecksumMismatch(f"stored checksum {stored}, recomputed {actual}")
 
-    graph = ColoredGraph(
-        system=system,
-        n=n,
-        vertices=tuple(vertices),
-        edge_colors=edge_colors,
-        edge_quality=edge_quality,
-        sampled=sampled,
-    )
+    graph = ColoredGraph(system, n, tuple(vertices), edge_colors, edge_quality, sampled)
     object.__setattr__(graph, "_checksum", stored)
     return graph

@@ -11,7 +11,9 @@ per-color edge scan that `color_classes` replaced, and
 before its bounded clique search, forward checking and propagation.
 `greedy_separated` is the pairwise first-fit loop that the keyed greedy
 replaced, over this file's `distance_at_least` scan, `read_decg` the
-whole-text DECG v1 reader that the streaming one replaced, and
+whole-text DECG v1 reader that the streaming one replaced, `decg_dumps`
+the writer that formatted one edge line at a time before rows were mapped
+to their tails and joined, and
 `probe_question` the norm-range search that the probe's single
 construction replaced, re-checked by this file's `min_diff_vector` and
 `shifted_exponent` rather than the package's masks.  `max_clique` is the
@@ -44,6 +46,7 @@ from decg import (
     ShiftSystem,
     UnknownColor,
     ball_vectors,
+    encode_pattern,
     parse_pattern,
     ring_vectors,
 )
@@ -448,6 +451,24 @@ def read_decg(source) -> ColoredGraph:
     )
     object.__setattr__(graph, "_checksum", stored)
     return graph
+
+
+def decg_dumps(graph: ColoredGraph) -> str:
+    """DECG v1 text formatted one line at a time from the palette table,
+    signed by this file's byte-wise `fnv1a64`."""
+    a = graph.system.alpha
+    vectors = color_vectors(graph.n)
+    lines = [
+        "decg 1",
+        f"system shift k={graph.system.alphabet_size} alpha={a.numerator}/{a.denominator}",
+        f"n {graph.n}",
+        f"vertices {graph.vertex_count}  colors {len(vectors)}  sampled {graph.sampled}",
+    ]
+    lines += [f"v {i} {encode_pattern(p)}" for i, p in enumerate(graph.vertices)]
+    for i, j, c, e in graph.iter_edges():
+        lines.append(f"e {i} {j} {c} {vectors[c].x} {vectors[c].y} {e}")
+    body = "".join(line + "\n" for line in lines)
+    return body + f"end {fnv1a64(body.encode()):016x}\n"
 
 
 # --- the clique search and the edge check before the pigeonhole hint ---------

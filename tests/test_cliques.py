@@ -477,6 +477,42 @@ def test_row_revalidation_reports_the_references_first_bad_edge(k, n, count):
     assert failures > 30
 
 
+@functools.cache
+def _sampled_n1():
+    points = sample_periodic_points(2, 3, 40, seed=3)
+    return color_graph(SYSTEM, greedy_separated(SYSTEM, points, SYSTEM.epsilon(1)), 1)
+
+
+def _revalidated(graph):
+    """revalidate_edges(graph) and its count of edges measured one by one."""
+    with recording() as stages, stage("revalidate"):
+        bad = revalidate_edges(graph)
+    return bad, stages[0]["counters"]["edges_measured"]
+
+
+def test_row_pass_still_measures_a_bad_last_edge_of_its_row():
+    g = _sampled_n1()
+    q = g.vertex_count
+    assert _revalidated(g) == (None, 0)
+    i = 7
+    x, y = g.vertices[i], g.vertices[q - 1]
+    colors = g.edge_colors[:]
+    # a cell where the endpoints agree: the shift by it separates them less
+    colors[g.edge_index(i, q - 1)] = next(c for c, v in enumerate(g.colors) if x.at(*v) == y.at(*v))
+    bad = ColoredGraph(g.system, g.n, g.vertices, colors, {}, g.sampled)
+    expected = reference.revalidate_edges(bad)
+    assert expected[:2] == (i, q - 1)
+    assert _revalidated(bad) == (expected, 1)
+
+
+def test_row_pass_does_not_skip_a_row_hiding_one_stored_exponent():
+    g = _sampled_n1()
+    e = g.edge_index(5, 20)  # mid-row: its neighbours pass at their cells
+    bad = ColoredGraph(g.system, g.n, g.vertices, g.edge_colors, {e: 1}, g.sampled)
+    assert reference.revalidate_edges(bad) == (5, 20, "stored exponent 1, recomputed 0")
+    assert _revalidated(bad) == ((5, 20, "stored exponent 1, recomputed 0"), 1)
+
+
 @pytest.mark.parametrize(
     "colors, exponents, bad",
     [

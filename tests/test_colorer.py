@@ -35,6 +35,7 @@ from decg import (
     sample_periodic_points,
     write_decg,
 )
+from decg.record import recording, stage
 
 SYSTEM = ShiftSystem(2)
 
@@ -569,6 +570,101 @@ def test_reader_stops_at_the_first_bad_edge_line(tmp_path):
             read_decg(path)
 
     assert _peak_traced_bytes(read) < 1_000_000
+
+
+def _batches(data: bytes) -> list[range]:
+    """The line numbers of each batch of edge lines that `read_decg` reads
+    from a file: lines until their bytes pass min(4096, 14 * edge lines left - 1)."""
+    lines = data.split(b"\n")
+    q = int(lines[3].split(b" ")[1])
+    start, end = 5 + q, 5 + q + q * (q - 1) // 2  # the first edge line and the end line
+    batches = []
+    while start < min(end, len(lines)):  # a file cut short has fewer lines
+        stop, size = start, 0
+        while size <= min(4096, 14 * (end - start) - 1):
+            size += len(lines[stop - 1]) + 1
+            stop += 1
+        batches.append(range(start, stop))
+        start = stop
+    return batches
+
+
+def _edge_line_no(q: int, i: int, j: int) -> int:
+    return 5 + q + i * (2 * q - i - 1) // 2 + (j - i - 1)
+
+
+@pytest.mark.parametrize("where", ["mid-row", "batch end"])
+def test_reader_stops_at_a_bad_line_inside_a_row_or_at_a_batch_end(tmp_path, where):
+    """A bad edge line after good lines of its row, or the last line of a
+    batch, fails at its own line before the 10 MB of junk lines after it
+    are held."""
+    data = _w2_shaped_graph()[1]
+    lines = data.split(b"\n")
+    # its bytes cross the 4 KB hint of the 41st batch, or it is well inside the 3rd
+    line_no = _batches(data)[40][-1] if where == "batch end" else _edge_line_no(400, 3, 150)
+    bad = lines[line_no - 1][:-1] + b"x"  # same length: the batches up to it stay as they were
+    path = tmp_path / "g.decg"
+    path.write_bytes(b"\n".join(lines[: line_no - 1] + [bad, b""]) + (b"x" * 25_000 + b"\n") * 398)
+    k, batch = next((k, b) for k, b in enumerate(_batches(path.read_bytes())) if line_no in b)
+    assert _batches(data)[:k] == _batches(path.read_bytes())[:k]
+    if where == "batch end":
+        assert (k, batch[-1]) == (40, line_no)
+    else:
+        assert batch[0] < line_no < batch[-1]
+
+    def read():
+        with pytest.raises(BadFormat, match=f"line {line_no}: non-integer edge fields"):
+            read_decg(path)
+
+    assert _peak_traced_bytes(read) < 1_000_000
+
+
+def test_reader_matches_reference_with_exponents_at_batch_ends(tmp_path):
+    g = _graph(5, 2, count=100)
+    data = decg_dumps(g).encode()
+    batches = _batches(data)
+    assert len(batches) > 10
+    first = 5 + g.vertex_count
+    # a one-digit exponent keeps every line's length, so the batches stay put
+    ends = {b[0] - first: 1 + k % 9 for k, b in enumerate(batches[::3])}
+    ends |= {b[-1] - first: 1 + k % 7 for k, b in enumerate(batches[1::3])}
+    h = _with_exponents(g, (ends.get(e, 0) for e in range(g.edge_count)))
+    path = tmp_path / "h.decg"
+    write_decg(h, path)
+    written = path.read_bytes()
+    assert _batches(written) == batches
+    assert read_decg(path) == reference.read_decg(written) == h
+    assert read_decg(path).edge_quality == ends
+
+
+def test_reader_matches_reference_where_batches_span_short_rows(tmp_path):
+    g = color_graph(SYSTEM, sample_periodic_points(2, 5, 130, 7), 2)
+    path = tmp_path / "g.decg"
+    write_decg(g, path)
+    data = path.read_bytes()
+    q = g.vertex_count
+    row_of = [i for i in range(q - 1) for _ in range(i + 1, q)]  # by edge index
+    rows_of = [{row_of[line_no - 5 - q] for line_no in b} for b in _batches(data)]
+    # the triangle's last rows, a few lines each, several to a batch
+    assert [len(rows) for rows in rows_of[-5:]] == [10, 11, 6, 3, 2]
+    with recording() as stages, stage("read"):
+        assert read_decg(path) == reference.read_decg(data) == g
+    assert 1 <= stages[0]["counters"]["lines_checked_singly"] <= len(g.colors_used())
+
+
+def test_writer_matches_the_per_line_reference(monkeypatch):
+    """Rows meet new colors mid-row, some hold nonzero exponents among
+    exponent-0 edges, and with the remembered tails capped at 5 most rows
+    outrun the cap."""
+    g = _graph(5, 2, count=60)
+    h = _with_exponents(g, (k % 5 if k % 97 < 3 else 0 for k in range(g.edge_count)))
+    for graph in (g, h):
+        assert decg_dumps(graph) == reference.decg_dumps(graph)
+    monkeypatch.setattr(colorer, "_CHECKED_TAILS_CAP", 5)
+    for graph in (g, h):
+        text = decg_dumps(dataclasses.replace(graph))  # hashed afresh
+        assert text == reference.decg_dumps(graph)
+        assert read_decg(text.encode()) == graph
 
 
 def test_palette_past_sys_maxsize_is_refused(tmp_path, capsys):
