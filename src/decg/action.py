@@ -123,6 +123,7 @@ def ball_vectors(radius: int) -> tuple[LatticeVector, ...]:
 
 
 @functools.total_ordering
+@dataclass(frozen=True, slots=True)
 class ShiftDistance:
     """A value alpha**-exponent of the shift ultrametric, held exactly.
 
@@ -132,12 +133,11 @@ class ShiftDistance:
     systems with different alpha must not be compared.
     """
 
-    __slots__ = ("exponent",)
+    exponent: int | None
 
-    def __init__(self, exponent: int | None):
-        if exponent is not None and exponent < 0:
+    def __post_init__(self):
+        if self.exponent is not None and self.exponent < 0:
             raise ValueError("distance exponent must be >= 0")
-        self.exponent = exponent
 
     @classmethod
     def zero(cls) -> "ShiftDistance":
@@ -147,11 +147,6 @@ class ShiftDistance:
     def is_zero(self) -> bool:
         return self.exponent is None
 
-    def __eq__(self, other):
-        if not isinstance(other, ShiftDistance):
-            return NotImplemented
-        return self.exponent == other.exponent
-
     def __lt__(self, other):
         if not isinstance(other, ShiftDistance):
             return NotImplemented
@@ -159,9 +154,6 @@ class ShiftDistance:
         if other.exponent is None:
             return False
         return self.exponent is None or self.exponent > other.exponent
-
-    def __hash__(self):
-        return hash(("ShiftDistance", self.exponent))
 
     def __repr__(self):
         if self.exponent is None:

@@ -211,10 +211,10 @@ _HEADER4_RE = re.compile(f"vertices {_UINT}  colors {_UINT}  sampled ({_SAMPLED}
 _END_RE = re.compile(r"end [0-9a-f]{16}")
 
 
-# Edge-line tails ("c vx vy quality\n") the reader remembers as checked, the
-# writer as formatted and the hasher as counted.  An honest file has one per
-# color used; the cap bounds what a distinct tail on every line can make any
-# of them hold.
+# Edge-line tails ("c vx vy quality\n") the reader remembers as checked and
+# the hasher as counted.  An honest file has one per color used; the cap
+# bounds what a file with a distinct tail on every line can make either of
+# them hold.
 _CHECKED_TAILS_CAP = 1 << 12
 
 
@@ -338,14 +338,13 @@ def _edge_rows(graph: ColoredGraph) -> Iterator[tuple[int, list[bytes]]]:
     for each row i.  A row with no nonzero exponent maps its colors to
     their exponent-0 tails in one pass."""
     vectors = graph.colors
-    known: dict[int, bytes] = {}  # exponent-0 tails by color, capped like the reader's
+    known: dict[int, bytes] = {}  # exponent-0 tails by color, one per color used
     for i, colors, exps in graph.rows():
         for c in set(colors).difference(known):
-            if len(known) < _CHECKED_TAILS_CAP:
-                known[c] = b"%d %d %d 0\n" % (c, *vectors[c])
-        if any(exps) or len(known) >= _CHECKED_TAILS_CAP:  # else every color has its tail
+            known[c] = b"%d %d %d 0\n" % (c, *vectors[c])
+        if any(exps):
             yield i, [
-                known[c] if c in known and not e else b"%d %d %d %d\n" % (c, *vectors[c], e)
+                b"%d %d %d %d\n" % (c, *vectors[c], e) if e else known[c]
                 for c, e in zip(colors, exps)
             ]
         else:

@@ -42,11 +42,10 @@ with best starting at k: the colorings with no monochromatic K_k are
 closed under relabeling, so one exists iff a lex-leader one does.
 
 `cap` bounds the work, not the input: a search that reaches its
-(cap + 1)-th node raises CapExceeded.  Instances the search cannot hold
-are refused before anything is allocated: more edges than
-MAX_SEARCH_EDGES, or (for opposite_ramsey_exact) a first leaf beyond the
-budget.  Fresh colors enter one per edge, so at most min(p, edges)
-classes are ever used, and only that many are held.
+(cap + 1)-th node raises CapExceeded.  Instances with more edges than
+MAX_SEARCH_EDGES, which the search cannot hold, are refused before
+anything is allocated.  Fresh colors enter one per edge, so at most
+min(p, edges) classes are ever used, and only that many are held.
 """
 
 from __future__ import annotations
@@ -283,10 +282,6 @@ def opposite_ramsey_exact(
         raise ValueError("need at least one color")
     if q < 2:
         raise ValueError("need at least two vertices")
-    # Nothing prunes below best = q + 1, so the first leaf costs one node per
-    # edge plus the root: a budget below that is refused before the search.
-    if q * (q - 1) // 2 + 1 > cap:
-        raise CapExceeded(f"oracle search exceeds its budget of {cap} nodes")
     # every coloring has a monochromatic K_2, so a minimum of 2 is final
     r, coloring, nodes = _search(p, q, q + 1, 2, cap)
     assert coloring is not None

@@ -21,6 +21,7 @@ from decg import (
     sample_periodic_points,
     shift_min_diff,
 )
+from decg import action
 from decg.action import ORIGIN, min_diff_vector, scan_order, window_mask
 
 
@@ -30,6 +31,7 @@ def test_lattice_vector_norm():
     assert LatticeVector(-2, 1).norm == 2
     assert LatticeVector(1, 2) + LatticeVector(3, -1) == LatticeVector(4, 1)
     assert -LatticeVector(1, -2) == LatticeVector(-1, 2)
+    assert LatticeVector(2, 1) - (1, 1) == LatticeVector(1, 0)
 
 
 def test_ring_sizes_and_order():
@@ -57,6 +59,18 @@ def test_shift_distance_ordering():
     assert max(ShiftDistance(4), ShiftDistance(1), zero) == ShiftDistance(1)
     with pytest.raises(ValueError):
         ShiftDistance(-1)
+
+
+def test_shift_distance_is_a_value_of_its_own_kind():
+    assert {ShiftDistance(3), ShiftDistance(3), ShiftDistance.zero(), ShiftDistance(None)} == {
+        ShiftDistance(3),
+        ShiftDistance.zero(),
+    }
+    assert (ShiftDistance(1) == 1) is False
+    with pytest.raises(TypeError):
+        ShiftDistance(1) < 1
+    assert repr(ShiftDistance.zero()) == "ShiftDistance(zero)"
+    assert repr(ShiftDistance(2)) == "ShiftDistance(alpha**-2)"
 
 
 def test_shift_distance_order_is_exhaustively_the_stated_one():
@@ -340,6 +354,13 @@ def test_sample_deterministic_and_seed_sensitive():
 def test_sample_cap():
     with pytest.raises(CapExceeded):
         sample_periodic_points(2, 1, 3, seed=0)
+
+
+def test_sample_stalls_when_draws_repeat(monkeypatch):
+    # every draw is the same pattern: 64 * 2 + 256 draws, then the guard
+    monkeypatch.setattr(action, "mix64", lambda seed, index: 0)
+    with pytest.raises(CapExceeded, match=r"^sampling stalled after 384 draws for 2 patterns$"):
+        sample_periodic_points(2, 1, 2, seed=0)
 
 
 def test_pattern_encoding_round_trip():

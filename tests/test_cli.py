@@ -346,7 +346,7 @@ def _decg_child(*argv):
     "argv, code",
     [
         (["opposite", "--p", "2", "--q", "45"], 3),  # deeper than the search recurses
-        (["opposite", "--p", "2", "--q", "20000"], 3),  # first leaf beyond the budget
+        (["opposite", "--p", "2", "--q", "20000"], 3),  # also past MAX_SEARCH_EDGES
         (["opposite", "--p", "1000000000", "--q", "3"], 0),  # holds 3 classes, not 10^9
         (["bounds", "--g", "1000", "--k", "1000"], 2),
         (["bounds", "--g", "100000", "--k", "100000"], 2),

@@ -653,9 +653,10 @@ def test_reader_matches_reference_where_batches_span_short_rows(tmp_path):
 
 
 def test_writer_matches_the_per_line_reference(monkeypatch):
-    """Rows meet new colors mid-row, some hold nonzero exponents among
-    exponent-0 edges, and with the remembered tails capped at 5 most rows
-    outrun the cap."""
+    """Rows meet new colors mid-row and some hold nonzero exponents among
+    exponent-0 edges.  The writer's tail map is uncapped, so lowering the
+    tail cap to 5 reaches only the reader's checked tails, which outrun it
+    on most rows, and the tail counts of the hasher both of them share."""
     g = _graph(5, 2, count=60)
     h = _with_exponents(g, (k % 5 if k % 97 < 3 else 0 for k in range(g.edge_count)))
     for graph in (g, h):

@@ -230,7 +230,8 @@ def test_oracle_refuses_what_it_cannot_hold_before_searching():
     # the search recurses once per edge, and K_33 has 528
     with pytest.raises(CapExceeded, match="K_33 has 528 edges"):
         ramsey_holds(2, 3, 33)
-    # nothing prunes before the first leaf, which costs q(q-1)/2 + 1 nodes
+    # nothing prunes before the first leaf, which costs q(q-1)/2 + 1 nodes,
+    # so the search's own budget refuses any smaller cap
     with pytest.raises(CapExceeded, match="budget of 15 nodes"):
         opposite_ramsey_exact(1, 6, cap=15)
     assert opposite_ramsey_exact(1, 6, cap=16).nodes == 16
