@@ -96,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_color = sub.add_parser("color", help="build and color a complete graph")
     p_color.add_argument("--system", choices=["shift"], default="shift")
     p_color.add_argument("--k", type=int, required=True, help="alphabet size")
-    p_color.add_argument("--n", type=int, required=True, help="separation scale")
+    p_color.add_argument("--n", type=_nonnegative_int, required=True, help="separation scale")
     p_color.add_argument("--alpha", type=_fraction, default=Fraction(2))
-    p_color.add_argument("--max-vertices", type=int, default=None)
+    p_color.add_argument("--max-vertices", type=_positive_int, default=None)
     p_color.add_argument("--vertex-cap", type=_positive_int, default=DEFAULT_CLIQUE_CAP)
     p_color.add_argument(
         "--threads", type=_positive_int, default=1, help="recorded only; no effect"

@@ -27,7 +27,6 @@ import io
 import re
 import struct
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -211,10 +210,10 @@ _HEADER4_RE = re.compile(f"vertices {_UINT}  colors {_UINT}  sampled ({_SAMPLED}
 _END_RE = re.compile(r"end [0-9a-f]{16}")
 
 
-# Edge-line tails ("c vx vy quality\n") the reader remembers as checked and
-# the hasher as counted.  An honest file has one per color used; the cap
-# bounds what a file with a distinct tail on every line can make either of
-# them hold.
+# Edge-line tails ("c vx vy quality\n") the reader remembers as checked
+# with exponent 0, and tails without a step table the hasher counts uses
+# of.  An honest file has one per color used; the cap bounds what a file
+# with a distinct tail on every line can make either of them hold.
 _CHECKED_TAILS_CAP = 1 << 12
 
 
@@ -230,10 +229,10 @@ def _step_table(token: bytes) -> tuple[int, memoryview]:
     return power, memoryview(steps).cast("Q")
 
 
-# A tail gets a step table once this many edge lines have ended in it (the
-# table costs about as much as hashing the tail 256 times byte by byte), and
-# at most this many tails get one, so a file or graph with a distinct tail
-# on every edge line builds none.
+# A tail gets a step table once this many edge lines have ended in it,
+# each hashed byte by byte (the table costs about as much as hashing the
+# tail 256 times), and at most this many tails get one, so a file or graph
+# with a distinct tail on every edge line builds none.
 _TAIL_TABLE_USES = 256
 _TAIL_TABLES_CAP = 1024
 
@@ -263,7 +262,8 @@ class _EdgeHasher:
         return self._steps(state, self._prepare(i, tails), i, tails)
 
     def _prepare(self, i: int, tails: list[bytes]) -> tuple[int, list[int]]:
-        """Build every table the row needs; returns the row prefix's."""
+        """Build the index tables the row needs; returns the row prefix's.
+        Tail tables are built by `_steps`, as tails earn them."""
         last = i + len(tails)
         small, high, heads = self.small, self.high, self.heads
         while len(small) <= min(last, 99):
@@ -277,16 +277,6 @@ class _EdgeHasher:
             power, steps = _step_table(b"e %d" % len(heads) if heads else b"e ")
             after = bytes([(low * power + a) & 255 for low, a in enumerate(steps)])
             heads.append((power, steps, after))
-        tables, seen = self.tails, self._uses
-        for tail, k in Counter(tails).items() if set(tails).difference(tables) else ():
-            if tail in tables or len(tables) >= _TAIL_TABLES_CAP:
-                continue
-            uses = seen.get(tail, 0) + k
-            if uses >= _TAIL_TABLE_USES:
-                seen.pop(tail, None)
-                tables[tail] = _step_table(tail)
-            elif tail in seen or len(seen) < _CHECKED_TAILS_CAP:
-                seen[tail] = uses
         # The head's step from low byte l gives h * m1 + a1[l], whose low
         # byte is after[l]; the index group's step follows from there.
         m1, a1, after = heads[i // 100]
@@ -296,7 +286,7 @@ class _EdgeHasher:
     def _steps(self, h: int, prefix: tuple[int, list[int]], i: int, tails: list[bytes]) -> int:
         """The step arithmetic of `row`, once `_prepare` has built its tables."""
         pm, pa = prefix
-        small, low, high, tables = self.small, self.low, self.high, self.tails
+        small, low, high, tables, seen = self.small, self.low, self.high, self.tails, self._uses
         for j, tail in enumerate(tails, i + 1):
             # reduced mod 2**64 once per line: the low byte is the same either way
             h = h * pm + pa[h & 255]
@@ -310,6 +300,12 @@ class _EdgeHasher:
             step = tables.get(tail)
             if step is None:
                 h = fnv1a64(tail, h & _MASK64)
+                uses = seen.get(tail, 0) + 1
+                if uses >= _TAIL_TABLE_USES and len(tables) < _TAIL_TABLES_CAP:
+                    seen.pop(tail, None)
+                    tables[tail] = _step_table(tail)
+                elif len(seen) < _CHECKED_TAILS_CAP or tail in seen:
+                    seen[tail] = uses
             else:
                 m, a = step
                 h = (h * m + a[h & 255]) & _MASK64
@@ -338,10 +334,8 @@ def _edge_rows(graph: ColoredGraph) -> Iterator[tuple[int, list[bytes]]]:
     for each row i.  A row with no nonzero exponent maps its colors to
     their exponent-0 tails in one pass."""
     vectors = graph.colors
-    known: dict[int, bytes] = {}  # exponent-0 tails by color, one per color used
+    known = {c: b"%d %d %d 0\n" % (c, *vectors[c]) for c in graph.colors_used()}
     for i, colors, exps in graph.rows():
-        for c in set(colors).difference(known):
-            known[c] = b"%d %d %d 0\n" % (c, *vectors[c])
         if any(exps):
             yield i, [
                 b"%d %d %d %d\n" % (c, *vectors[c], e) if e else known[c]
@@ -439,10 +433,10 @@ def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[i
     run of a row's lines passes as a whole while each starts with its
     "e i j " and ends in a tail already checked with exponent 0, as such a
     line passes the same checks.  The first line that does not is checked
-    on its own, and an accepted line is exactly its prefix and its tail,
-    which is what the row's step tables hash.
+    on its own by `_edge_fields`, which fails it if it lacks that prefix,
+    so an accepted line is exactly its prefix and its tail, which is what
+    the row's step tables hash.
     """
-    checked: dict[bytes, tuple[int, int]] = {}
     zero: dict[bytes, int] = {}  # the checked tails of exponent 0, by color
     hasher = _EdgeHasher()
     edge_colors = array(colors.typecode)
@@ -460,25 +454,22 @@ def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[i
             pre = list(map(head.__mod__, range(j, min(q, j + len(batch)))))  # their "e i j "
             good = [*map(bytes.startswith, batch, pre), False].index(False)
             known = list(map(bytes.removeprefix, batch, pre[:good]))
-            good = [*map(zero.get, known), None].index(None)
-            edge_colors.extend(map(zero.__getitem__, known[:good]))
+            found = [*map(zero.get, known), None]
+            good = found.index(None)
+            edge_colors.extend(found[:good])
             tails += known[:good]
             del batch[:good]
             if good == len(pre):
                 continue
             singly += 1
-            raw, prefix = batch.pop(0), pre[good]
-            tail = raw[len(prefix) :]
-            fields = checked.get(tail) if raw.startswith(prefix) else None
-            if fields is None:
-                fields = _edge_fields(5 + q + len(edge_colors), raw, i, j + good, colors)
-                if len(checked) < _CHECKED_TAILS_CAP:
-                    checked[tail] = fields
-                    if not fields[1]:
-                        zero[tail] = fields[0]
-            if fields[1]:
-                edge_quality[len(edge_colors)] = fields[1]
-            edge_colors.append(fields[0])
+            raw = batch.pop(0)
+            tail = raw[len(pre[good]) :]
+            c, quality = _edge_fields(5 + q + len(edge_colors), raw, i, j + good, colors)
+            if quality:
+                edge_quality[len(edge_colors)] = quality
+            elif len(zero) < _CHECKED_TAILS_CAP:
+                zero[tail] = c
+            edge_colors.append(c)
             tails.append(tail)
         state = hasher.row(state, i, tails)
     count("lines_checked_singly", singly)

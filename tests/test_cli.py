@@ -78,6 +78,9 @@ def _exit_code(argv) -> int:
         (["cliques", "{tmp}", "--threads", "0"], 2),
         (["color", "--k", "2", "--n", "100000", "--max-vertices", "4"], 2),
         (["probe", "--n", "100000"], 2),
+        (["color", "--k", "2", "--n", "-3"], 2),
+        (["color", "--k", "2", "--n", "-1", "--max-vertices", "1000"], 2),
+        (["color", "--k", "2", "--n", "1", "--max-vertices", "-5"], 2),
     ],
 )
 def test_malformed_argv_exits_with_its_code(tmp_path, capsys, argv, code):
@@ -89,6 +92,20 @@ def test_malformed_argv_exits_with_its_code(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert "error: " in err
     assert "Traceback" not in err
+
+
+def test_color_names_a_negative_n_or_a_vertex_count_below_one(tmp_path, capsys):
+    # without the option types these ran into the size cap (exit 3) or
+    # sampled nothing before refusing
+    out = str(tmp_path / "g.decg")
+    for args, name in [
+        (["--n", "-3"], "--n"),
+        (["--n", "-1", "--max-vertices", "1000"], "--n"),
+        (["--n", "1", "--max-vertices", "0"], "--max-vertices"),
+    ]:
+        assert _exit_code(["color", "--k", "2", *args, "--out", out]) == 2
+        assert f"error: argument {name}: " in capsys.readouterr().err
+    assert not (tmp_path / "g.decg").exists()
 
 
 # An 87-byte header whose palette is (2*50000+1)^2 colors; the body is

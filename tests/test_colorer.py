@@ -284,7 +284,7 @@ def _with_exponents(g, quality):
 
 def _distinct_tail_graph():
     # a distinct exponent on every edge gives every edge line its own tail,
-    # more of them than the reader keeps as checked
+    # more of them than the hasher keeps use counts for
     g = _graph(5, 2, count=100)
     assert g.edge_count > colorer._CHECKED_TAILS_CAP
     return _with_exponents(g, range(g.edge_count))
@@ -323,6 +323,19 @@ def test_edge_hasher_equals_reference_fnv_of_the_formatted_lines():
             assert hasher.row(0xCBF29CE484222325, i, tails) == reference.fnv1a64(lines), (i, j)
     assert set(TAILS) <= set(hasher.tails)  # the rest, seen at most 8 times each, have none
     assert len(hasher.tails) == len(TAILS)
+
+
+def test_edge_hasher_use_counts_stay_within_their_cap():
+    hasher = colorer._EdgeHasher()
+    cap = colorer._CHECKED_TAILS_CAP
+    state, lines = 0xCBF29CE484222325, []
+    for i in range(2):  # every line has its own tail, across rows too
+        tails = [b"%d 0 0 %d\n" % (i, k) for k in range(cap + 100)]
+        state = hasher.row(state, i, tails)
+        lines += [b"e %d %d " % (i, j) + t for j, t in enumerate(tails, i + 1)]
+    assert len(hasher._uses) <= cap
+    assert not hasher.tails
+    assert state == reference.fnv1a64(b"".join(lines))
 
 
 @pytest.mark.parametrize("exponents", [False, True], ids=["honest", "exponents"])
@@ -399,8 +412,9 @@ def _peak_traced_bytes(fn) -> int:
 
 def _crc32_steps(hasher, state, prefix, i, tails):
     """A stand-in for colorer._EdgeHasher._steps, after `_prepare` has
-    built the same tables: CRC-32 of the row index and the tails, chained
-    over rows, so the writer and the reader still agree."""
+    built the same index tables (it builds no tail tables): CRC-32 of the
+    row index and the tails, chained over rows, so the writer and the
+    reader still agree."""
     return zlib.crc32(b"".join(tails), zlib.crc32(b"%d" % i, state & 0xFFFFFFFF))
 
 
@@ -408,18 +422,20 @@ def test_decg_reader_and_writer_memory_grows_with_edges_not_text(tmp_path, monke
     """Peak traced allocation of write_decg and read_decg on the exhaustive
     n = 1 graph (512 vertices, 130 816 edges, a 2.4 MB file).
 
-    Measured on CPython 3.11: write_decg peaks at 0.44 MB (3.3 B/edge) and
-    read_decg at 0.65 MB (5.0 B/edge), the color array (1 B/edge), the
-    vertices and the step tables; it peaked at 3.8 MB (29.2 B/edge) while
-    the edges were two tuples of ints.  Both include the hasher's step
-    tables, about 130 tables of 2 KB.  The whole-text writer and reader
-    that streaming replaced peaked at 22.2 MB (170 B/edge) and 19.4 MB
-    (148 B/edge).
+    Measured on CPython 3.11: write_decg peaks at 0.49 MB (3.7 B/edge) and
+    read_decg at 0.64 MB (4.9 B/edge), the color array (1 B/edge), the
+    vertices and the index step tables; it peaked at 3.8 MB (29.2 B/edge)
+    while the edges were two tuples of ints.  Both include the hasher's
+    index step tables, about 120 tables of 2 KB.  The whole-text writer and
+    reader that streaming replaced peaked at 22.2 MB (170 B/edge) and
+    19.4 MB (148 B/edge).
 
     tracemalloc traces every int the step arithmetic makes, which would
     cost several seconds per call, so a CRC-32 of each row stands in for
-    the steps once the real tables are built: the figures measure what the
-    writer and reader hold, tables included, and the hash holds nothing.
+    the steps once the index tables are built.  The stand-in builds no
+    tail tables, which the real steps build as tails earn them (at most
+    one per color used here, 18 KB): the figures measure what the writer
+    and reader hold with index tables only, and the hash holds nothing.
     """
     monkeypatch.setattr(colorer._EdgeHasher, "_steps", _crc32_steps)
     graph = _graph(3, 1)
@@ -443,11 +459,12 @@ def _w2_shaped_graph():
 def test_read_decg_holds_an_edge_in_a_byte_or_two(tmp_path, monkeypatch):
     """Peak traced allocation of read_decg on a 400-vertex n = 2 graph.
 
-    Measured on CPython 3.11: 0.61 MB, 7.6 B/edge, of which the color
-    array is 1 B/edge and the rest is the vertices, the step tables and
-    one row's tails.  Edges held as two tuples of ints (16 B/edge), built
-    through lists, peaked at 2.56 MB (32.1 B/edge), so the bound fails
-    them.
+    Measured on CPython 3.11: 0.60 MB, 7.5 B/edge, of which the color
+    array is 1 B/edge and the rest is the vertices, the index step tables
+    and one row's tails; the CRC-32 stand-in for the steps builds no tail
+    tables (at most one per color used, 50 KB).  Edges held as two tuples
+    of ints (16 B/edge), built through lists, peaked at 2.56 MB (32.1
+    B/edge), so the bound fails them.
     """
     g = _w2_shaped_graph()[0]  # its cached text is signed before the stand-in
     monkeypatch.setattr(colorer._EdgeHasher, "_steps", _crc32_steps)
@@ -655,8 +672,9 @@ def test_reader_matches_reference_where_batches_span_short_rows(tmp_path):
 def test_writer_matches_the_per_line_reference(monkeypatch):
     """Rows meet new colors mid-row and some hold nonzero exponents among
     exponent-0 edges.  The writer's tail map is uncapped, so lowering the
-    tail cap to 5 reaches only the reader's checked tails, which outrun it
-    on most rows, and the tail counts of the hasher both of them share."""
+    tail cap to 5 reaches only the reader's `zero` map of exponent-0
+    tails, which new colors outrun on most rows, and the hasher's use
+    counts of tails without a step table, in the writer and the reader."""
     g = _graph(5, 2, count=60)
     h = _with_exponents(g, (k % 5 if k % 97 < 3 else 0 for k in range(g.edge_count)))
     for graph in (g, h):
