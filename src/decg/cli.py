@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_color.add_argument("--n", type=_nonnegative_int, required=True, help="separation scale")
     p_color.add_argument("--alpha", type=_fraction, default=Fraction(2))
     p_color.add_argument("--max-vertices", type=_positive_int, default=None)
-    p_color.add_argument("--vertex-cap", type=_positive_int, default=DEFAULT_CLIQUE_CAP)
     p_color.add_argument(
         "--threads", type=_positive_int, default=1, help="recorded only; no effect"
     )
@@ -217,14 +216,14 @@ def cmd_color(args) -> tuple[dict, dict, dict]:
         )
     if args.max_vertices is None:
         size = args.k**cells
-        if size > args.vertex_cap:
+        if size > DEFAULT_CLIQUE_CAP:
             shown = f" = {size}" if size.bit_length() <= 64 else ""
             raise CapExceeded(
                 f"{args.k}^{cells}{shown} vertices exceeds cap "
-                f"{args.vertex_cap}; pass --max-vertices to subsample"
+                f"{DEFAULT_CLIQUE_CAP}; pass --max-vertices to subsample"
             )
-    elif args.max_vertices > args.vertex_cap:
-        raise CapExceeded(f"--max-vertices {args.max_vertices} exceeds cap {args.vertex_cap}")
+    elif args.max_vertices > DEFAULT_CLIQUE_CAP:
+        raise CapExceeded(f"--max-vertices {args.max_vertices} exceeds cap {DEFAULT_CLIQUE_CAP}")
     with stage("points"):  # enumeration or sampling, then the greedy separation
         if args.max_vertices is None:
             stream = enumerate_periodic_points(args.k, width)

@@ -24,8 +24,8 @@ from .colorer import ColoredGraph
 from .errors import CapExceeded
 from .record import count, stage
 
-# Also the default --vertex-cap of `decg color`: `decg cliques` must analyse
-# whatever `color` builds by default.
+# Also the most vertices `decg color` builds, so `decg cliques` can analyse
+# every graph `color` writes.
 DEFAULT_CLIQUE_CAP = 5000
 
 

@@ -268,20 +268,17 @@ def _check_log_composition(
     samples = []
     established = True
     detail = "composed value strictly increasing along the geometric grid"
-    prev: tuple[int, int] | None = None  # (n, m)
+    prev: tuple[int, Count] | None = None
     for n in grid:
-        m = floor_ln(n) + 1
-        c = q.count_at(m)
+        c = q.count_at(floor_ln(n) + 1)
         samples.append((n, _log_count(c) - degree * math.log(n)))
         if prev is not None:
-            pn, pm = prev
-            lhs = _as_int(q.count_at(m)) * pn**degree
-            rhs = _as_int(q.count_at(pm)) * n**degree
-            if not lhs > rhs:
+            pn, pc = prev
+            if not _as_int(c) * pn**degree > _as_int(pc) * n**degree:
                 established = False
                 detail = f"composed value not increasing at n = {n}"
                 break
-        prev = (n, m)
+        prev = (n, c)
     return SuperpolyReport(
         "log-composition", degree, n0, established, tuple(samples), detail
     )

@@ -81,6 +81,7 @@ def _exit_code(argv) -> int:
         (["color", "--k", "2", "--n", "-3"], 2),
         (["color", "--k", "2", "--n", "-1", "--max-vertices", "1000"], 2),
         (["color", "--k", "2", "--n", "1", "--max-vertices", "-5"], 2),
+        (["color", "--k", "2", "--n", "1", "--vertex-cap", "5000"], 2),
     ],
 )
 def test_malformed_argv_exits_with_its_code(tmp_path, capsys, argv, code):
@@ -660,7 +661,7 @@ def test_stdout_output_with_stderr_manifest(capsys):
             ["color", "--k", "2", "--n", "1", "--max-vertices", "40", "--alpha", "3/2",
              "--threads", "3", "--out", "{tmp}/g.decg"],
             [("system", "shift"), ("k", 2), ("n", 1), ("alpha", "3/2"), ("max_vertices", 40),
-             ("vertex_cap", 5000), ("threads", 3), ("seed", 0)],
+             ("threads", 3), ("seed", 0)],
         ),
         (
             ["cliques", "{tmp}/g.decg", "--threads", "2", "--out", "{tmp}/r.json"],

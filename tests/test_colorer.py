@@ -23,6 +23,7 @@ from decg import (
     LatticeVector,
     NoWitness,
     PeriodicConfiguration,
+    SeparatedSet,
     ShiftSystem,
     UnknownColor,
     color_graph,
@@ -130,6 +131,12 @@ def test_color_graph_rejects_unseparated_input():
     with pytest.raises(NoWitness, match="vertices 1 and 3 agree") as info:
         color_graph(SYSTEM, points, 1)
     assert info.value.pair == (1, 3)
+
+
+def test_color_graph_rejects_no_vertices():
+    for vertices in ([], SeparatedSet((), SYSTEM.epsilon(1))):
+        with pytest.raises(ValueError, match="^graph needs at least one vertex$"):
+            color_graph(SYSTEM, vertices, 1)
 
 
 def test_color_graph_rejects_mixed_periods():

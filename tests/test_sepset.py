@@ -281,3 +281,9 @@ def test_growth_csv():
     assert lines[1] == "1,9.0,9.0"
     assert lines[2] == "2,25.0,12.5"
     assert lines[3].startswith("3,49.0,16.33333333333333")
+
+
+def test_growth_csv_reads_exact_integer_counts():
+    exact = growth_csv(GrowthSequence(((1, 8), (2, 1024))), Fraction(2))
+    assert exact == growth_csv(GrowthSequence(((1, (2, 3)), (2, (2, 10)))), Fraction(2))
+    assert exact == "n,count_log2,term\n1,3.0,3.0\n2,10.0,5.0\n"
