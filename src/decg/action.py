@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import CapExceeded, MismatchedSystems, UnknownColor
 
-DEFAULT_ENUMERATION_CAP = 1 << 25
+ENUMERATION_CAP = 1 << 25
 
 # The most cells (w*w) a pattern that `decg color` samples or `decg probe`
 # builds may hold: width 64, so --n up to 31 for `color`.  A width is
@@ -393,18 +393,16 @@ class ShiftSystem:
         return bool(diff_mask(x, y) & window_mask(x.width, ORIGIN, exponent))
 
 
-def enumerate_periodic_points(
-    alphabet_size: int, width: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[PeriodicConfiguration]:
+def enumerate_periodic_points(alphabet_size: int, width: int) -> Iterator[PeriodicConfiguration]:
     """All k**(w*w) periodic points in lexicographic cell order.
 
     The first pattern is all-zero and the last is all-(k-1).  Raises
-    CapExceeded when the universe is larger than `cap`.
+    CapExceeded when the universe is larger than ENUMERATION_CAP.
     """
     total = alphabet_size ** (width * width)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise CapExceeded(
-            f"{alphabet_size}^{width * width} = {total} patterns exceeds cap {cap}"
+            f"{alphabet_size}^{width * width} = {total} patterns exceeds cap {ENUMERATION_CAP}"
         )
     for combo in itertools.product(range(alphabet_size), repeat=width * width):
         yield PeriodicConfiguration(width, alphabet_size, combo)

@@ -36,7 +36,7 @@ from .action import (
     sample_periodic_points,
 )
 from .cliques import (
-    DEFAULT_CLIQUE_CAP,
+    CLIQUE_CAP,
     mono_clique_report,
     opposite_upper_bound,
     revalidate_edges,
@@ -216,14 +216,14 @@ def cmd_color(args) -> tuple[dict, dict, dict]:
         )
     if args.max_vertices is None:
         size = args.k**cells
-        if size > DEFAULT_CLIQUE_CAP:
+        if size > CLIQUE_CAP:
             shown = f" = {size}" if size.bit_length() <= 64 else ""
             raise CapExceeded(
                 f"{args.k}^{cells}{shown} vertices exceeds cap "
-                f"{DEFAULT_CLIQUE_CAP}; pass --max-vertices to subsample"
+                f"{CLIQUE_CAP}; pass --max-vertices to subsample"
             )
-    elif args.max_vertices > DEFAULT_CLIQUE_CAP:
-        raise CapExceeded(f"--max-vertices {args.max_vertices} exceeds cap {DEFAULT_CLIQUE_CAP}")
+    elif args.max_vertices > CLIQUE_CAP:
+        raise CapExceeded(f"--max-vertices {args.max_vertices} exceeds cap {CLIQUE_CAP}")
     with stage("points"):  # enumeration or sampling, then the greedy separation
         if args.max_vertices is None:
             stream = enumerate_periodic_points(args.k, width)

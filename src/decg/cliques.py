@@ -26,7 +26,7 @@ from .record import count, stage
 
 # Also the most vertices `decg color` builds, so `decg cliques` can analyse
 # every graph `color` writes.
-DEFAULT_CLIQUE_CAP = 5000
+CLIQUE_CAP = 5000
 
 
 def color_classes(graph: ColoredGraph) -> Callable[[int], list[int]]:
@@ -57,9 +57,7 @@ def color_classes(graph: ColoredGraph) -> Callable[[int], list[int]]:
     return masks
 
 
-def max_clique(
-    adjacency: Sequence[int], cap: int = DEFAULT_CLIQUE_CAP, parts: Sequence[int] = ()
-) -> tuple[int, list[int]]:
+def max_clique(adjacency: Sequence[int], parts: Sequence[int] = ()) -> tuple[int, list[int]]:
     """Exact maximum clique order and one witness clique.
 
     `adjacency` is symmetric: bit j of adjacency[i] is set iff {i, j} is
@@ -68,7 +66,7 @@ def max_clique(
     smallest-last order, and a pivot tie goes to the vertex that comes
     first in it, so the order is built only as far as the search reads it.
     Deterministic: the witness is the first maximum found by the fixed
-    branch order.  Raises CapExceeded above `cap` vertices.
+    branch order.  Raises CapExceeded above CLIQUE_CAP vertices.
 
     `parts` is an optional hint: vertex bitmasks that partition the
     vertices into independent sets, checked with one AND per vertex and
@@ -80,8 +78,8 @@ def max_clique(
     q = len(adjacency)
     if q == 0:
         return 0, []
-    if q > cap:
-        raise CapExceeded(f"{q} vertices exceeds clique search cap {cap}")
+    if q > CLIQUE_CAP:
+        raise CapExceeded(f"{q} vertices exceeds clique search cap {CLIQUE_CAP}")
     masks = [adjacency[v] & ~(1 << v) for v in range(q)]
     bound = _partition_bound(masks, parts)
     limit = q if bound is None else bound  # no clique has more vertices

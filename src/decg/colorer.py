@@ -211,9 +211,8 @@ _END_RE = re.compile(r"end [0-9a-f]{16}")
 
 
 # Edge-line tails ("c vx vy quality\n") the reader remembers as checked
-# with exponent 0, and tails without a step table the hasher counts uses
-# of.  An honest file has one per color used; the cap bounds what a file
-# with a distinct tail on every line can make either of them hold.
+# with exponent 0.  An honest file has one per color used; the cap bounds
+# what a file with a distinct tail on every line can make the memo hold.
 _CHECKED_TAILS_CAP = 1 << 12
 
 
@@ -229,12 +228,14 @@ def _step_table(token: bytes) -> tuple[int, memoryview]:
     return power, memoryview(steps).cast("Q")
 
 
-# A tail gets a step table once this many edge lines have ended in it,
-# each hashed byte by byte (the table costs about as much as hashing the
-# tail 256 times), and at most this many tails get one, so a file or graph
-# with a distinct tail on every edge line builds none.
-_TAIL_TABLE_USES = 256
-_TAIL_TABLES_CAP = 1024
+# A tail gets a step table at the first edge line that ends in it, until
+# this many tails have one; the rest are hashed byte by byte.  A `decg
+# color` file has one tail per color used (9 at n = 1, 20 at n = 2 on 1000
+# samples, at most 49 up to n = 3), so each gets its table.  A file with a
+# distinct tail on every line builds 64 tables and no more: 128 KB, and
+# about the time of hashing 16 000 tails byte by byte (a table costs about
+# 256 of them).
+_TAIL_TABLES_CAP = 64
 
 
 class _EdgeHasher:
@@ -254,7 +255,6 @@ class _EdgeHasher:
         # group, with the low byte each table's step leaves behind
         self.heads: list[tuple[int, memoryview, bytes]] = []
         self.tails: dict[bytes, tuple[int, memoryview]] = {}
-        self._uses: dict[bytes, int] = {}  # lines seen so far of tails with no table
 
     def row(self, state: int, i: int, tails: list[bytes]) -> int:
         """`state` continued over the edge lines (i, i+1), (i, i+2), ...,
@@ -263,7 +263,7 @@ class _EdgeHasher:
 
     def _prepare(self, i: int, tails: list[bytes]) -> tuple[int, list[int]]:
         """Build the index tables the row needs; returns the row prefix's.
-        Tail tables are built by `_steps`, as tails earn them."""
+        Tail tables are built by `_steps`, at each tail's first line."""
         last = i + len(tails)
         small, high, heads = self.small, self.high, self.heads
         while len(small) <= min(last, 99):
@@ -286,7 +286,7 @@ class _EdgeHasher:
     def _steps(self, h: int, prefix: tuple[int, list[int]], i: int, tails: list[bytes]) -> int:
         """The step arithmetic of `row`, once `_prepare` has built its tables."""
         pm, pa = prefix
-        small, low, high, tables, seen = self.small, self.low, self.high, self.tails, self._uses
+        small, low, high, tables = self.small, self.low, self.high, self.tails
         for j, tail in enumerate(tails, i + 1):
             # reduced mod 2**64 once per line: the low byte is the same either way
             h = h * pm + pa[h & 255]
@@ -298,14 +298,10 @@ class _EdgeHasher:
                 m, a = low[j % 100]
             h = h * m + a[h & 255]
             step = tables.get(tail)
+            if step is None and len(tables) < _TAIL_TABLES_CAP:
+                step = tables[tail] = _step_table(tail)
             if step is None:
                 h = fnv1a64(tail, h & _MASK64)
-                uses = seen.get(tail, 0) + 1
-                if uses >= _TAIL_TABLE_USES and len(tables) < _TAIL_TABLES_CAP:
-                    seen.pop(tail, None)
-                    tables[tail] = _step_table(tail)
-                elif len(seen) < _CHECKED_TAILS_CAP or tail in seen:
-                    seen[tail] = uses
             else:
                 m, a = step
                 h = (h * m + a[h & 255]) & _MASK64

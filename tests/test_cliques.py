@@ -77,7 +77,7 @@ def test_max_clique_empty_adjacency():
 
 def test_max_clique_cap():
     with pytest.raises(CapExceeded):
-        max_clique([0] * 10, cap=5)
+        max_clique([0] * 5001)
 
 
 def test_max_clique_agrees_with_brute_force():

@@ -291,7 +291,8 @@ def _with_exponents(g, quality):
 
 def _distinct_tail_graph():
     # a distinct exponent on every edge gives every edge line its own tail,
-    # more of them than the hasher keeps use counts for
+    # more of them than the reader remembers as checked or the hasher
+    # builds step tables for
     g = _graph(5, 2, count=100)
     assert g.edge_count > colorer._CHECKED_TAILS_CAP
     return _with_exponents(g, range(g.edge_count))
@@ -311,8 +312,8 @@ def test_one_step_table_step_is_fnv1a64_of_its_token(token, state):
 
 
 INDICES = (0, 9, 10, 99, 100, 101, 999, 1000, 4999)
-# negative vectors and nonzero exponents; the first three recur often
-# enough to get step tables, the last is new on every line
+# negative vectors and nonzero exponents; the first three recur, the last
+# is new on every line
 TAILS = (b"0 -2 -2 7\n", b"11 -1 1 0\n", b"24 2 2 123456789\n")
 
 
@@ -328,20 +329,19 @@ def test_edge_hasher_equals_reference_fnv_of_the_formatted_lines():
             tails = _row_tails(i, j)
             lines = b"".join(b"e %d %d " % (i, k) + t for k, t in enumerate(tails, i + 1))
             assert hasher.row(0xCBF29CE484222325, i, tails) == reference.fnv1a64(lines), (i, j)
-    assert set(TAILS) <= set(hasher.tails)  # the rest, seen at most 8 times each, have none
-    assert len(hasher.tails) == len(TAILS)
+    assert set(TAILS) <= set(hasher.tails)  # tabled at their first lines
+    assert len(hasher.tails) == colorer._TAIL_TABLES_CAP  # the "12 0 0 k" tails fill the rest
 
 
-def test_edge_hasher_use_counts_stay_within_their_cap():
+def test_edge_hasher_tail_tables_stay_within_their_cap():
     hasher = colorer._EdgeHasher()
-    cap = colorer._CHECKED_TAILS_CAP
+    cap = colorer._TAIL_TABLES_CAP
     state, lines = 0xCBF29CE484222325, []
     for i in range(2):  # every line has its own tail, across rows too
         tails = [b"%d 0 0 %d\n" % (i, k) for k in range(cap + 100)]
         state = hasher.row(state, i, tails)
         lines += [b"e %d %d " % (i, j) + t for j, t in enumerate(tails, i + 1)]
-    assert len(hasher._uses) <= cap
-    assert not hasher.tails
+    assert len(hasher.tails) == cap
     assert state == reference.fnv1a64(b"".join(lines))
 
 
@@ -374,15 +374,17 @@ def _count_tail_tables(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize("graph", ["distinct", "recurring"])
+@pytest.mark.parametrize("graph", ["honest", "distinct", "recurring"])
 def test_tail_tables_are_capped_in_writer_and_reader(tmp_path, monkeypatch, graph):
-    if graph == "distinct":
-        h = _distinct_tail_graph()  # no tail recurs, so none earns a table
-        expected = 0
+    if graph == "honest":
+        h = _graph(3, 1)  # one tail per color used, each tabled at its first line
+        expected = 9
+    elif graph == "distinct":
+        h = _distinct_tail_graph()  # every line has its own tail: the cap stops the tables
+        expected = colorer._TAIL_TABLES_CAP
     else:
         # 50 exponents per color, each tail on about 4 of 4950 lines: far more
-        # tails earn a table than the (lowered) cap admits
-        monkeypatch.setattr(colorer, "_TAIL_TABLE_USES", 3)
+        # tails than the (lowered) cap admits
         monkeypatch.setattr(colorer, "_TAIL_TABLES_CAP", 5)
         g = _graph(5, 2, count=100)
         h = _with_exponents(g, (k % 50 for k in range(g.edge_count)))
@@ -680,8 +682,7 @@ def test_writer_matches_the_per_line_reference(monkeypatch):
     """Rows meet new colors mid-row and some hold nonzero exponents among
     exponent-0 edges.  The writer's tail map is uncapped, so lowering the
     tail cap to 5 reaches only the reader's `zero` map of exponent-0
-    tails, which new colors outrun on most rows, and the hasher's use
-    counts of tails without a step table, in the writer and the reader."""
+    tails, which new colors outrun on most rows."""
     g = _graph(5, 2, count=60)
     h = _with_exponents(g, (k % 5 if k % 97 < 3 else 0 for k in range(g.edge_count)))
     for graph in (g, h):
