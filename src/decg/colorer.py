@@ -7,10 +7,10 @@ row-major from (-n, -n) to (n, n) and decoded by arithmetic, never from a
 table (`decg.action.ColorSet`).  Graphs serialize to the DECG text format, a line-oriented file
 with an FNV-1a-64 trailer checksum.  The writer formats a row of edge
 lines by mapping its colors to their remembered tails and joining them;
-the reader takes the edge lines in batches of about 4 KB and passes a run
-of them in a few whole-list passes while each is "e i j " and a tail it
-has already checked, so it holds at most one batch of unchecked lines
-plus one line, and checks only the other lines one at a time.
+the reader takes the edge lines in batches of about 4 KB, passes a batch's
+lines of one row whole when each is "e i j " and a tail it has already
+checked, and otherwise walks them, checking on its own each line that is
+not; it holds at most one batch of unchecked lines plus one line.
 
 FNV-1a's xor touches only the low byte of the state, so for any byte
 string s and 64-bit state h, fnv1a64(s, h) == (h * P**len(s) +
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import io
 import re
-import struct
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -216,7 +215,7 @@ _END_RE = re.compile(r"end [0-9a-f]{16}")
 _CHECKED_TAILS_CAP = 1 << 12
 
 
-def _step_table(token: bytes) -> tuple[int, memoryview]:
+def _step_table(token: bytes) -> tuple[int, array]:
     """(P**len(token), A) such that fnv1a64(token, h) == (h * P**len(token)
     + A[h & 255]) mod 2**64 for every 64-bit state h.  A packs its 256
     entries into 2 KB."""
@@ -224,8 +223,7 @@ def _step_table(token: bytes) -> tuple[int, memoryview]:
     for b in token:
         states = [((s ^ b) * _FNV_PRIME) & _MASK64 for s in states]
     power = pow(_FNV_PRIME, len(token), 1 << 64)
-    steps = struct.pack("256Q", *[(s - low * power) & _MASK64 for low, s in enumerate(states)])
-    return power, memoryview(steps).cast("Q")
+    return power, array("Q", [(s - low * power) & _MASK64 for low, s in enumerate(states)])
 
 
 # A tail gets a step table at the first edge line that ends in it, until
@@ -248,13 +246,13 @@ class _EdgeHasher:
     """
 
     def __init__(self):
-        self.small: list[tuple[int, memoryview]] = []  # "j " for j < 100
-        self.low: list[tuple[int, memoryview]] = []  # "jj " for j % 100, once some j >= 100
-        self.high: list[tuple[int, memoryview]] = []  # "h" for h = j // 100 (high[0] unused)
+        self.small: list[tuple[int, array]] = []  # "j " for j < 100
+        self.low: list[tuple[int, array]] = []  # "jj " for j % 100, once some j >= 100
+        self.high: list[tuple[int, array]] = []  # "h" for h = j // 100 (high[0] unused)
         # "e " and "e h" for h = i // 100: a row prefix less its last index
         # group, with the low byte each table's step leaves behind
-        self.heads: list[tuple[int, memoryview, bytes]] = []
-        self.tails: dict[bytes, tuple[int, memoryview]] = {}
+        self.heads: list[tuple[int, array, bytes]] = []
+        self.tails: dict[bytes, tuple[int, array]] = {}
 
     def row(self, state: int, i: int, tails: list[bytes]) -> int:
         """`state` continued over the edge lines (i, i+1), (i, i+2), ...,
@@ -426,12 +424,12 @@ def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[i
 
     Lines come in batches of about 4 KB, never past the last edge line of
     a well-formed body (a shorter line fails before any past it).  A
-    run of a row's lines passes as a whole while each starts with its
-    "e i j " and ends in a tail already checked with exponent 0, as such a
-    line passes the same checks.  The first line that does not is checked
-    on its own by `_edge_fields`, which fails it if it lacks that prefix,
-    so an accepted line is exactly its prefix and its tail, which is what
-    the row's step tables hash.
+    segment, a batch's lines of one row, passes whole when each starts
+    with its "e i j " and ends in a tail already checked with exponent 0,
+    as such a line passes the same checks.  Otherwise its lines take that
+    test in order against the memo as it stands, and one that fails it is
+    checked on its own by `_edge_fields`, which fails it if it lacks that
+    prefix, so an accepted line is exactly the prefix and tail it hashes.
     """
     zero: dict[bytes, int] = {}  # the checked tails of exponent 0, by color
     hasher = _EdgeHasher()
@@ -447,26 +445,25 @@ def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[i
                 left = q * (q - 1) // 2 - len(edge_colors)
                 batch = fh.readlines(min(4096, 14 * left - 1)) or [b""]
             j = i + 1 + len(tails)
-            pre = list(map(head.__mod__, range(j, min(q, j + len(batch)))))  # their "e i j "
-            good = [*map(bytes.startswith, batch, pre), False].index(False)
-            known = list(map(bytes.removeprefix, batch, pre[:good]))
-            found = [*map(zero.get, known), None]
-            good = found.index(None)
-            edge_colors.extend(found[:good])
-            tails += known[:good]
-            del batch[:good]
-            if good == len(pre):
+            segment, batch = batch[: q - j], batch[q - j :]  # the batch's lines of row i
+            pre = list(map(head.__mod__, range(j, j + len(segment))))  # their "e i j "
+            known = list(map(bytes.removeprefix, segment, pre))
+            found = list(map(zero.get, known))
+            if all(map(bytes.startswith, segment, pre)) and None not in found:
+                edge_colors.extend(found)
+                tails += known
                 continue
-            singly += 1
-            raw = batch.pop(0)
-            tail = raw[len(pre[good]) :]
-            c, quality = _edge_fields(5 + q + len(edge_colors), raw, i, j + good, colors)
-            if quality:
-                edge_quality[len(edge_colors)] = quality
-            elif len(zero) < _CHECKED_TAILS_CAP:
-                zero[tail] = c
-            edge_colors.append(c)
-            tails.append(tail)
+            for j, raw, p, tail in zip(range(j, q), segment, pre, known):
+                c = zero.get(tail) if raw.startswith(p) else None  # live: sees this segment's checks
+                if c is None:
+                    singly += 1
+                    c, quality = _edge_fields(5 + q + len(edge_colors), raw, i, j, colors)
+                    if quality:
+                        edge_quality[len(edge_colors)] = quality
+                    elif len(zero) < _CHECKED_TAILS_CAP:
+                        zero[tail] = c
+                edge_colors.append(c)
+                tails.append(tail)
         state = hasher.row(state, i, tails)
     count("lines_checked_singly", singly)
     return edge_colors, edge_quality, state

@@ -577,8 +577,8 @@ def test_color_and_cliques_manifests_count_hashed_bytes_and_revalidated_edges(tm
 
 def test_cliques_stages_count_the_edges_that_leave_the_row_passes(tmp_path):
     """On an honest file every edge line after the first of its tail and
-    every edge passes in a row pass: the reader checks at most one line per
-    color singly, and revalidation measures no edge."""
+    every edge passes in a row pass: the reader checks singly exactly one
+    line per color used, and revalidation measures no edge."""
     runs = []
     for run, threads in enumerate(("1", "1", "4")):
         graph, report = tmp_path / f"g{run}.decg", tmp_path / f"r{run}.json"
@@ -589,7 +589,7 @@ def test_cliques_stages_count_the_edges_that_leave_the_row_passes(tmp_path):
         runs.append({s["name"]: s["counters"] for s in stages})
     assert runs[0] == runs[1] == runs[2]
     assert runs[0]["revalidate"] == {"edges_measured": 0}
-    assert 1 <= runs[0]["read"]["lines_checked_singly"] <= len(read_decg(graph).colors_used())
+    assert runs[0]["read"]["lines_checked_singly"] == len(read_decg(graph).colors_used())
 
 
 def test_manifest_stages_repeat_their_counters_across_runs_and_threads(tmp_path):

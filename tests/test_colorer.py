@@ -5,6 +5,7 @@ import functools
 import gc
 import random
 import sys
+import time
 import tracemalloc
 import zlib
 from array import array
@@ -302,6 +303,27 @@ def test_decg_reader_past_its_checked_tail_cap_matches_reference():
     h = _distinct_tail_graph()
     data = decg_dumps(h).encode()
     assert read_decg(data) == reference.read_decg(data) == h
+
+
+def _best_read_cpu_s(data: bytes) -> float:
+    times = []
+    for _ in range(3):
+        start = time.process_time()
+        read_decg(data)
+        times.append(time.process_time() - start)
+    return min(times)
+
+
+def test_reader_work_stays_linear_when_every_line_is_checked_singly():
+    """A 300-vertex graph read as written, and with exponent e + 1 on edge
+    e, so that each of its 44 850 edge lines has its own tail and is
+    checked on its own.  Measured on CPython 3.11: the second read costs
+    2.6-3.7 times the first; a reader that re-scanned the rest of its
+    batch after each such line took 15-16 times."""
+    g = color_graph(SYSTEM, sample_periodic_points(2, 5, 300, 2), 2)
+    honest = decg_dumps(g).encode()
+    distinct = decg_dumps(_with_exponents(g, range(1, g.edge_count + 1))).encode()
+    assert _best_read_cpu_s(distinct) <= 8 * _best_read_cpu_s(honest)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -675,7 +697,7 @@ def test_reader_matches_reference_where_batches_span_short_rows(tmp_path):
     assert [len(rows) for rows in rows_of[-5:]] == [10, 11, 6, 3, 2]
     with recording() as stages, stage("read"):
         assert read_decg(path) == reference.read_decg(data) == g
-    assert 1 <= stages[0]["counters"]["lines_checked_singly"] <= len(g.colors_used())
+    assert stages[0]["counters"]["lines_checked_singly"] == len(g.colors_used())
 
 
 def test_writer_matches_the_per_line_reference(monkeypatch):

@@ -18,6 +18,7 @@ from decg import (
     InconsistentCertificate,
     OppositeRamseyResult,
     PeriodicConfiguration,
+    PrecisionLoss,
     ShiftSystem,
     color_graph,
     floor_log_shift,
@@ -30,6 +31,7 @@ from decg import (
     sandwich_report,
     verify_extremal,
 )
+from decg import intlog
 from decg.intlog import ceil_exp, floor_ln
 from decg.ramsey import DEFAULT_ORACLE_CAP, bounds_record, edge_list
 
@@ -343,6 +345,15 @@ def test_lr_lower():
 def test_exact_helpers_refuse_arguments_out_of_range(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_exact_helpers_refuse_what_their_bracket_of_e_cannot_decide(monkeypatch):
+    # with e bracketed only by [2, 3], e**2 may lie on either side of 5 and ceil(e) may be 2 or 3
+    monkeypatch.setattr(intlog, "_e_bounds", lambda: (Fraction(2), Fraction(3)))
+    with pytest.raises(PrecisionLoss, match=r"^cannot certify floor_ln\(5\) at m=2$"):
+        floor_ln(5)
+    with pytest.raises(PrecisionLoss, match=r"^cannot certify ceil_exp\(1\)$"):
+        ceil_exp(1)
 
 
 def test_lower_bound_below_upper_bound():
