@@ -2,17 +2,17 @@
 
 Subcommands: color, cliques, opposite, bounds, dimension, probe.  Each
 `cmd_*` only computes: it writes its primary output and returns the
-manifest's inputs, outputs and counters, or raises.  `main` owns the run:
-it starts the clock, writes the manifest (JSON) and maps exceptions to
-exit codes with one `error: ` line on stderr.  The manifest records every
-parsed option but --out as its parameters, checksums of inputs and
-outputs, wall time and deterministic counters: the oracle's search-node
-count for `opposite`, the DECG bytes the checksum covers for `color` and
-`cliques`, and the edges `cliques` revalidated.  `color` and `cliques`
-also list their stages (see `decg.record`), each with its wall time and
-counters.  Primary outputs are byte deterministic given the manifest
-parameters.  Every command runs in one thread: `color` and `cliques`
-accept --threads and record it in the manifest, but it has no effect.
+manifest's inputs and outputs, or raises.  `main` owns the run: it starts
+the clock, writes the manifest (JSON) and maps exceptions to exit codes
+with one `error: ` line on stderr.  The manifest records every parsed
+option but --out as its parameters, checksums of inputs and outputs, and
+wall time.  `color`, `cliques` and `opposite` also list their stages (see
+`decg.record`), each with its wall time and the deterministic counters
+the code doing the work counts: the DECG bytes hashed, the edges
+revalidated, the oracle's search nodes.  Primary outputs are byte
+deterministic given the manifest parameters.  Every command runs in one
+thread: `color` and `cliques` accept --threads and record it in the
+manifest, but it has no effect.
 
 Exit codes: 0 ok, 2 usage, 3 size cap, 4 I/O, 5 verification failure.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -35,14 +34,9 @@ from .action import (
     enumerate_periodic_points,
     sample_periodic_points,
 )
-from .cliques import (
-    CLIQUE_CAP,
-    mono_clique_report,
-    opposite_upper_bound,
-    revalidate_edges,
-)
+from .cliques import mono_clique_report, opposite_upper_bound, revalidate_edges
 from .colorer import decg_dumps  # noqa: F401  perfbench/tracer.py rebinds it by this name
-from .colorer import color_graph, fnv1a64, read_decg, write_decg
+from .colorer import CLIQUE_CAP, color_graph, fnv1a64, read_decg, write_decg
 from .errors import (
     BadFormat,
     CapExceeded,
@@ -167,14 +161,7 @@ def _decg_checksum(graph) -> str:
     return f"{fnv1a64(end_line, int(body, 16)):016x}"
 
 
-def _hashed_bytes(path) -> int:
-    """Bytes of a DECG file that its checksum covers: all but the end line."""
-    return os.path.getsize(path) - len("end 0123456789abcdef\n")
-
-
-def _write_manifest(
-    args, inputs: dict, outputs: dict, started: float, counters: dict, stages: list
-) -> None:
+def _write_manifest(args, inputs: dict, outputs: dict, started: float, stages: list) -> None:
     manifest = {
         "tool": "decg",
         "version": __version__,
@@ -188,8 +175,6 @@ def _write_manifest(
         "outputs": outputs,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    if counters:
-        manifest["counters"] = counters
     if stages:
         manifest["stages"] = stages
     text = _json_text(manifest)
@@ -205,7 +190,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def cmd_color(args) -> tuple[dict, dict, dict]:
+def cmd_color(args) -> tuple[dict, dict]:
     system = ShiftSystem(alphabet_size=args.k, alpha=args.alpha)
     width = 2 * args.n + 1
     cells = width * width
@@ -240,10 +225,10 @@ def cmd_color(args) -> tuple[dict, dict, dict]:
         count("edges", graph.edge_count)
     with stage("write"):
         write_decg(graph, args.out)
-    return {}, {args.out: _decg_checksum(graph)}, {"bytes_hashed": _hashed_bytes(args.out)}
+    return {}, {args.out: _decg_checksum(graph)}
 
 
-def cmd_cliques(args) -> tuple[dict, dict, dict]:
+def cmd_cliques(args) -> tuple[dict, dict]:
     with stage("read"):
         graph = read_decg(args.path)
     with stage("revalidate"):
@@ -257,14 +242,13 @@ def cmd_cliques(args) -> tuple[dict, dict, dict]:
         "clique_report": report.to_json(),
         "bound_certificate": cert.to_json() if cert is not None else None,
     }
-    outputs = _emit(_json_text(payload), args.out)
-    counters = {"bytes_hashed": _hashed_bytes(args.path), "edges_revalidated": graph.edge_count}
-    return {args.path: _decg_checksum(graph)}, outputs, counters
+    return {args.path: _decg_checksum(graph)}, _emit(_json_text(payload), args.out)
 
 
-def cmd_opposite(args) -> tuple[dict, dict, dict]:
-    result = opposite_ramsey_exact(args.p, args.q, cap=args.cap)
-    return {}, _emit(_json_text(result.to_json()), args.out), {"oracle_nodes": result.nodes}
+def cmd_opposite(args) -> tuple[dict, dict]:
+    with stage("search"):
+        result = opposite_ramsey_exact(args.p, args.q, cap=args.cap)
+    return {}, _emit(_json_text(result.to_json()), args.out)
 
 
 def _refuse_unprintable(name: str, base: int, exponent: int) -> None:
@@ -283,20 +267,20 @@ def _refuse_unprintable(name: str, base: int, exponent: int) -> None:
         )
 
 
-def cmd_bounds(args) -> tuple[dict, dict, dict]:
+def cmd_bounds(args) -> tuple[dict, dict]:
     _refuse_unprintable("gg_upper", args.g, args.g * args.k)
     _refuse_unprintable("lr_lower", 2, math.ceil(args.c * args.g * args.k))
     record = bounds_record(args.g, args.k, args.c)
-    return {}, _emit(_json_text(record.to_json()), args.out), {}
+    return {}, _emit(_json_text(record.to_json()), args.out)
 
 
-def cmd_dimension(args) -> tuple[dict, dict, dict]:
+def cmd_dimension(args) -> tuple[dict, dict]:
     ShiftSystem(alphabet_size=args.k, alpha=args.alpha)  # refuses k and alpha as color does
     seq = GrowthSequence.shift_closed_form(args.k, args.n_max)
-    return {}, _emit(growth_csv(seq, args.alpha), args.out), {}
+    return {}, _emit(growth_csv(seq, args.alpha), args.out)
 
 
-def cmd_probe(args) -> tuple[dict, dict, dict]:
+def cmd_probe(args) -> tuple[dict, dict]:
     system = ShiftSystem(alphabet_size=args.k, alpha=args.alpha)
     result = probe_question(system, args.n)
     t = system.threshold_exponent
@@ -321,7 +305,7 @@ def cmd_probe(args) -> tuple[dict, dict, dict]:
             "threshold_exponent": result.threshold.exponent,
             "verified": True,
         }
-    return {}, _emit(_json_text(payload), args.out), {}
+    return {}, _emit(_json_text(payload), args.out)
 
 
 # First match wins, as in an except chain.
@@ -338,8 +322,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         with recording() as stages:
-            inputs, outputs, counters = args.func(args)
-        _write_manifest(args, inputs, outputs, started, counters, stages)
+            inputs, outputs = args.func(args)
+        _write_manifest(args, inputs, outputs, started, stages)
         return EXIT_OK
     except (OSError, ValueError, DecgError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -20,13 +20,9 @@ from operator import and_
 from typing import Callable, Iterator, Sequence
 
 from .action import LatticeVector, shift_min_diff, shifted_exponent, window_mask
-from .colorer import ColoredGraph
+from .colorer import CLIQUE_CAP, ColoredGraph
 from .errors import CapExceeded
 from .record import count, stage
-
-# Also the most vertices `decg color` builds, so `decg cliques` can analyse
-# every graph `color` writes.
-CLIQUE_CAP = 5000
 
 
 def color_classes(graph: ColoredGraph) -> Callable[[int], list[int]]:
@@ -241,11 +237,6 @@ class _LazyOrder:
         self.d = d - 1 if d else 0
 
 
-def _degeneracy_order(masks: Sequence[int]) -> list[int]:
-    """The whole smallest-last order."""
-    return list(_LazyOrder(masks).ranked((1 << len(masks)) - 1))
-
-
 @dataclass(frozen=True)
 class ColorCliqueEntry:
     index: int
@@ -352,8 +343,8 @@ def revalidate_edges(graph: ColoredGraph):
     other edge is measured by growing coset-norm windows around v, which
     also names what is wrong, and counted as `edges_measured`.
     The graph's constructor has checked its vertices against its shift.
-    Returns None when all edges pass, else (i, j, reason) for the first
-    bad edge.
+    Returns None when all edges pass, and counts them as
+    `edges_revalidated`, else (i, j, reason) for the first bad edge.
     """
     # Coset-norm windows, never the colorer's lowest-bit lookup: the two
     # share only the cell numbering, so the check does not repeat the logic
@@ -385,9 +376,10 @@ def revalidate_edges(graph: ColoredGraph):
                     return (i, j, f"achieved exponent {achieved} exceeds threshold {t}")
                 if achieved != stored:
                     return (i, j, f"stored exponent {stored}, recomputed {achieved}")
-        return None
     finally:
         count("edges_measured", measured)
+    count("edges_revalidated", graph.edge_count)
+    return None
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .action import (
     scan_order,
     window_mask,
 )
-from .errors import BadFormat, ChecksumMismatch, NoWitness
+from .errors import BadFormat, CapExceeded, ChecksumMismatch, NoWitness
 from .record import count
 from .sepset import SeparatedSet
 
@@ -49,6 +49,10 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 DECG_VERSION = 1
+
+# The most vertices a ColoredGraph holds, so the DECG reader refuses a
+# larger header at once and `decg cliques` can analyse every graph there is.
+CLIQUE_CAP = 5000
 
 # An integer as the writer formats it: ASCII digits, no leading zero.  The
 # reader's patterns take integers only in this form.
@@ -73,7 +77,8 @@ class ColoredGraph:
     their colors in an array of the palette's typecode.  `edge_quality`
     maps an edge's index to the distance exponent achieved after shifting
     the endpoints by its color vector, where that is not 0 (the best).
-    Its vertices pass `system.check_point` with one period, so DECG reads what it writes.
+    Its vertices, at most CLIQUE_CAP of them, pass `system.check_point`
+    with one period, so DECG reads what it writes.
     Fields cannot be assigned, and `dataclasses.replace` drops the cached
     checksum, so the cache names this graph's own text unless the edge
     array or exponent dict is edited in place.
@@ -91,6 +96,8 @@ class ColoredGraph:
         q = len(self.vertices)
         if q < 1:
             raise ValueError("graph needs at least one vertex")
+        if q > CLIQUE_CAP:
+            raise CapExceeded(f"{q} vertices exceeds cap {CLIQUE_CAP}")
         for x in self.vertices:
             self.system.check_point(x, self.vertices[0].width)
         expected = q * (q - 1) // 2
@@ -209,12 +216,6 @@ _HEADER4_RE = re.compile(f"vertices {_UINT}  colors {_UINT}  sampled ({_SAMPLED}
 _END_RE = re.compile(r"end [0-9a-f]{16}")
 
 
-# Edge-line tails ("c vx vy quality\n") the reader remembers as checked
-# with exponent 0.  An honest file has one per color used; the cap bounds
-# what a file with a distinct tail on every line can make the memo hold.
-_CHECKED_TAILS_CAP = 1 << 12
-
-
 def _step_table(token: bytes) -> tuple[int, array]:
     """(P**len(token), A) such that fnv1a64(token, h) == (h * P**len(token)
     + A[h & 255]) mod 2**64 for every 64-bit state h.  A packs its 256
@@ -226,14 +227,15 @@ def _step_table(token: bytes) -> tuple[int, array]:
     return power, array("Q", [(s - low * power) & _MASK64 for low, s in enumerate(states)])
 
 
-# A tail gets a step table at the first edge line that ends in it, until
-# this many tails have one; the rest are hashed byte by byte.  A `decg
-# color` file has one tail per color used (9 at n = 1, 20 at n = 2 on 1000
-# samples, at most 49 up to n = 3), so each gets its table.  A file with a
-# distinct tail on every line builds 64 tables and no more: 128 KB, and
-# about the time of hashing 16 000 tails byte by byte (a table costs about
-# 256 of them).
-_TAIL_TABLES_CAP = 64
+# Edge-line tails ("c vx vy quality\n") a hasher builds step tables for,
+# and the reader remembers as checked with exponent 0: the first this many
+# of each, at their first lines.  Other tails are hashed byte by byte and
+# checked on every line.  A `decg color` file has one tail per color used
+# (9 at n = 1, 20 at n = 2 on 1000 samples, at most 49 up to n = 3), so
+# the cap never binds on it.  A file with a distinct tail on every line
+# builds 64 tables and no more: 128 KB, and about the time of hashing
+# 16 000 tails byte by byte (a table costs about 256 of them).
+_TAIL_CAP = 64
 
 
 class _EdgeHasher:
@@ -296,7 +298,7 @@ class _EdgeHasher:
                 m, a = low[j % 100]
             h = h * m + a[h & 255]
             step = tables.get(tail)
-            if step is None and len(tables) < _TAIL_TABLES_CAP:
+            if step is None and len(tables) < _TAIL_CAP:
                 step = tables[tail] = _step_table(tail)
             if step is None:
                 h = fnv1a64(tail, h & _MASK64)
@@ -342,10 +344,11 @@ def _edge_rows(graph: ColoredGraph) -> Iterator[tuple[int, list[bytes]]]:
 def _signed_pieces(graph: ColoredGraph) -> Iterator[bytes]:
     """The DECG text as UTF-8 pieces: the header and vertex lines, one
     piece per row i holding the edges (i, i+1..q-1), then the end line.
-    Each piece before the end line is hashed as it passes, and the body
-    checksum is cached on the graph."""
+    Each piece before the end line is hashed as it passes, counted as
+    `bytes_hashed`, and the body checksum is cached on the graph."""
     head = _head_piece(graph)
     h = fnv1a64(head)
+    count("bytes_hashed", len(head))
     yield head
     hasher = _EdgeHasher()
     indices = [b"%d " % j for j in range(graph.vertex_count)]
@@ -354,7 +357,9 @@ def _signed_pieces(graph: ColoredGraph) -> Iterator[bytes]:
         parts = [b"e %d " % i] * (3 * len(tails))  # each line's "e i ", "j " and tail
         parts[1::3] = indices[i + 1 :]
         parts[2::3] = tails
-        yield b"".join(parts)
+        piece = b"".join(parts)
+        count("bytes_hashed", len(piece))
+        yield piece
     object.__setattr__(graph, "_checksum", f"{h:016x}")
     yield f"end {graph._checksum}\n".encode("ascii")
 
@@ -436,7 +441,7 @@ def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[i
     edge_colors = array(colors.typecode)
     edge_quality: dict[int, int] = {}
     batch: list[bytes] = []
-    singly = 0
+    singly = hashed = 0
     for i in range(q - 1):
         head = b"e %d %%d " % i
         tails: list[bytes] = []
@@ -444,6 +449,7 @@ def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[i
             if not batch:  # no edge line is shorter than "e 0 1 0 0 0 0\n": none is read past
                 left = q * (q - 1) // 2 - len(edge_colors)
                 batch = fh.readlines(min(4096, 14 * left - 1)) or [b""]
+                hashed += len(b"".join(batch))
             j = i + 1 + len(tails)
             segment, batch = batch[: q - j], batch[q - j :]  # the batch's lines of row i
             pre = list(map(head.__mod__, range(j, j + len(segment))))  # their "e i j "
@@ -460,11 +466,12 @@ def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[i
                     c, quality = _edge_fields(5 + q + len(edge_colors), raw, i, j, colors)
                     if quality:
                         edge_quality[len(edge_colors)] = quality
-                    elif len(zero) < _CHECKED_TAILS_CAP:
+                    elif len(zero) < _TAIL_CAP:
                         zero[tail] = c
                 edge_colors.append(c)
                 tails.append(tail)
         state = hasher.row(state, i, tails)
+    count("bytes_hashed", hashed)
     count("lines_checked_singly", singly)
     return edge_colors, edge_quality, state
 
@@ -474,12 +481,13 @@ def read_decg(source) -> ColoredGraph:
 
     Re-verifies the grammar (each line is the writer's formatting of its
     values: integers in ASCII digits with no leading zero, alpha in lowest
-    terms), the header arithmetic (edge count equals q*(q-1)/2, palette
-    size equals (2n+1)**2, color indices match their vectors) and the
-    trailer checksum.  Edge lines are read in batches of about 4 KB and
-    hashed one row at a time, so the reader holds at most one batch of
-    unchecked lines plus one line, and memory grows with the edge count,
-    never with the text or the header's palette.  The first bad line is
+    terms), the header arithmetic (1 <= q <= CLIQUE_CAP, edge count equals
+    q*(q-1)/2, palette size equals (2n+1)**2, color indices match their
+    vectors) and the trailer checksum.  Edge lines are read in batches of
+    about 4 KB and hashed one row at a time, so the reader holds at most
+    one batch of unchecked lines plus one line, and memory grows with the
+    edge count, never with the text or the header's palette.  The bytes
+    read and hashed are counted as `bytes_hashed`.  The first bad line is
     named by its number.  Witness validity is not checked here;
     `cliques.revalidate_edges` does that.
     """
@@ -518,8 +526,8 @@ def _read_lines(fh) -> ColoredGraph:
     q = _header_int(4, m.group(1))
     palette = _header_int(4, m.group(2))
     sampled = m.group(3)
-    if q < 1:
-        _fail(4, "vertex count must be positive")
+    if not 1 <= q <= CLIQUE_CAP:
+        _fail(4, f"vertex count {q} is not between 1 and the cap {CLIQUE_CAP}")
     if palette != (2 * n + 1) ** 2:
         _fail(4, f"colors {palette} does not equal (2n+1)^2 = {(2 * n + 1) ** 2}")
     try:
@@ -545,7 +553,9 @@ def _read_lines(fh) -> ColoredGraph:
         if vertices and p.width != vertices[0].width:
             _fail(line_no, f"vertex period {p.width} differs from {vertices[0].width}")
         vertices.append(p)
-    edge_colors, edge_quality, state = _read_edges(fh, q, colors, fnv1a64(b"".join(head)))
+    head_bytes = b"".join(head)
+    count("bytes_hashed", len(head_bytes))
+    edge_colors, edge_quality, state = _read_edges(fh, q, colors, fnv1a64(head_bytes))
 
     end_no = 5 + q + q * (q - 1) // 2
     end_line = _line_text(end_no, fh.readline())

@@ -51,13 +51,14 @@ min(p, edges) classes are ever used, and only that many are held.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cliques as _cliques
 from .colorer import ColoredGraph
 from .errors import CapExceeded, InconsistentCertificate
 from .intlog import floor_ln
+from .record import count
 
 # search nodes; (2, 10) needs 292, (2, 16) 45 369 in about 8 s on a
 # 2-core host under CPython 3.11
@@ -80,9 +81,6 @@ class OppositeRamseyResult:
     q: int
     r: int
     extremal_coloring: tuple[int, ...]
-    # search nodes the oracle visited (0 when not built by it): a work
-    # counter for the manifest, not part of the value or of to_json
-    nodes: int = field(default=0, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -135,15 +133,13 @@ def _forced_order(rows, a: int, b: int, cur: int, best: int) -> int:
     return 2 + found
 
 
-def _search(
-    p: int, q: int, best: int, stop: int, cap: int
-) -> tuple[int, tuple[int, ...] | None, int]:
+def _search(p: int, q: int, best: int, stop: int, cap: int) -> tuple[int, tuple[int, ...] | None]:
     """Least largest-monochromatic-clique order below `best` over the
-    p-colorings of K_q, the first coloring in enumeration order that
-    attains it (None when no coloring goes below `best`), and the number
-    of search nodes visited.  The search ends as soon as the minimum is at
-    most `stop`, and raises CapExceeded on its (cap + 1)-th node or when
-    K_q has more than MAX_SEARCH_EDGES edges.
+    p-colorings of K_q, and the first coloring in enumeration order that
+    attains it (None when no coloring goes below `best`).  Counts the
+    search nodes it visits as `oracle_nodes`.  The search ends as soon as
+    the minimum is at most `stop`, and raises CapExceeded on its
+    (cap + 1)-th node or when K_q has more than MAX_SEARCH_EDGES edges.
     """
     total = q * (q - 1) // 2
     if total > MAX_SEARCH_EDGES:
@@ -265,7 +261,8 @@ def _search(
             rows[j] &= ~bj
 
     rec(0, 1, 0, (1 << (q - 1)) - 1)
-    return best, best_col, nodes
+    count("oracle_nodes", nodes)
+    return best, best_col
 
 
 def opposite_ramsey_exact(
@@ -276,16 +273,16 @@ def opposite_ramsey_exact(
     The stored extremal coloring attains the minimum: every p-coloring of
     K_q has a monochromatic clique of order r, and this one has none of
     order r + 1.  Raises CapExceeded when the search needs more than `cap`
-    nodes; `nodes` on the result counts the ones it visited.
+    nodes.
     """
     if p < 1:
         raise ValueError("need at least one color")
     if q < 2:
         raise ValueError("need at least two vertices")
     # every coloring has a monochromatic K_2, so a minimum of 2 is final
-    r, coloring, nodes = _search(p, q, q + 1, 2, cap)
+    r, coloring = _search(p, q, q + 1, 2, cap)
     assert coloring is not None
-    return OppositeRamseyResult(p, q, r, coloring, nodes)
+    return OppositeRamseyResult(p, q, r, coloring)
 
 
 def ramsey_holds(p: int, k: int, q: int, cap: int = DEFAULT_ORACLE_CAP) -> bool:

@@ -333,6 +333,7 @@ def test_cliques_checksum_mismatch_exit_5(tmp_path, capsys):
         (3, "n " + "1" * 5000),  # past int's default 4300-digit limit
         (3, "n \u00b2"),  # str.isdigit accepts superscripts; int does not
         (4, f"vertices {'1' * 5000}  colors 9  sampled full"),
+        (4, "vertices 5001  colors 9  sampled full"),  # past the vertex cap
     ],
 )
 def test_cliques_bad_header_numbers_exit_5(tmp_path, capsys, line_no, header):
@@ -346,12 +347,13 @@ def test_cliques_bad_header_numbers_exit_5(tmp_path, capsys, line_no, header):
     assert f"error: line {line_no}: " in capsys.readouterr().err
 
 
-def _decg_child(*argv):
+def _decg_child(*argv, stdin: str | None = None):
     """Run decg in a child process under a 512 MB address-space limit, so
     that a hang or a runaway allocation fails the test."""
     src = str(Path(decg.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "decg.cli", *argv],
+        input=stdin,
         capture_output=True,
         text=True,
         timeout=30,
@@ -472,16 +474,17 @@ ORACLE_NODE_CEILING = 2000
 def test_opposite_manifest_counts_search_nodes(tmp_path):
     # no --cap: the default node budget, not the nominal 3^36 colorings,
     # limits this run, and it writes the pinned bytes
-    counters = []
+    runs = []
     for run in range(2):
         out = tmp_path / f"o{run}.json"
         assert main(["opposite", "--p", "3", "--q", "9", "--out", str(out)]) == 0
         assert f"{fnv1a64(out.read_bytes()):016x}" == P3_Q9_FNV
         manifest = _validated(tmp_path / f"o{run}.json.manifest.json", "manifest")
-        counters.append(json.dumps(manifest["counters"]).encode())
-    assert counters[0] == counters[1]
-    nodes = json.loads(counters[0])["oracle_nodes"]
-    assert 0 < nodes < ORACLE_NODE_CEILING
+        runs.append(json.dumps([(s["name"], s["counters"]) for s in manifest["stages"]]).encode())
+    assert runs[0] == runs[1]
+    [(name, counters)] = json.loads(runs[0])
+    assert (name, list(counters)) == ("search", ["oracle_nodes"])
+    assert 0 < counters["oracle_nodes"] < ORACLE_NODE_CEILING
 
 
 def test_bounds_output(tmp_path):
@@ -554,6 +557,12 @@ def test_threads_do_not_change_output(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _stage_counters(manifest_path) -> dict:
+    """{stage name: counters} of a manifest, validated."""
+    stages = _validated(Path(manifest_path), "manifest")["stages"]
+    return {s["name"]: s["counters"] for s in stages}
+
+
 def test_color_and_cliques_manifests_count_hashed_bytes_and_revalidated_edges(tmp_path):
     counters = []
     for run, threads in enumerate(("1", "1", "4")):
@@ -561,18 +570,33 @@ def test_color_and_cliques_manifests_count_hashed_bytes_and_revalidated_edges(tm
         assert main(["color", "--k", "2", "--n", "1", "--max-vertices", "80",
                      "--threads", threads, "--out", str(graph)]) == 0
         assert main(["cliques", str(graph), "--threads", threads, "--out", str(report)]) == 0
+        color, cliques = (_stage_counters(f"{path}.manifest.json") for path in (graph, report))
         counters.append([
-            _validated(Path(f"{path}.manifest.json"), "manifest")["counters"]
-            for path in (graph, report)
+            color["write"]["bytes_hashed"],
+            cliques["read"]["bytes_hashed"],
+            cliques["revalidate"]["edges_revalidated"],
         ])
     assert counters[0] == counters[1] == counters[2]
     data = graph.read_bytes()
     q = read_decg(data).vertex_count
     body = data.rindex(b"end ")
-    assert counters[0] == [
-        {"bytes_hashed": body},
-        {"bytes_hashed": body, "edges_revalidated": q * (q - 1) // 2},
-    ]
+    assert counters[0] == [body, body, q * (q - 1) // 2]
+
+
+def test_cliques_counts_the_same_from_a_pipe_as_from_a_path(tmp_path):
+    graph = tmp_path / "g.decg"
+    assert main(["color", "--k", "2", "--n", "1", "--max-vertices", "80",
+                 "--out", str(graph)]) == 0
+    data = graph.read_bytes()
+    runs = []
+    for source, stdin in ((str(graph), None), ("/dev/stdin", data.decode())):
+        report = tmp_path / f"r{len(runs)}.json"
+        proc = _decg_child("cliques", source, "--out", str(report), stdin=stdin)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(_stage_counters(f"{report}.manifest.json"))
+    path, piped = runs
+    assert path["read"] == piped["read"]
+    assert piped["read"]["bytes_hashed"] == len(data) - len(b"end 0123456789abcdef\n")
 
 
 def test_cliques_stages_count_the_edges_that_leave_the_row_passes(tmp_path):
@@ -585,11 +609,11 @@ def test_cliques_stages_count_the_edges_that_leave_the_row_passes(tmp_path):
         assert main(["color", "--k", "2", "--n", "1", "--max-vertices", "80",
                      "--threads", threads, "--out", str(graph)]) == 0
         assert main(["cliques", str(graph), "--threads", threads, "--out", str(report)]) == 0
-        stages = _validated(Path(f"{report}.manifest.json"), "manifest")["stages"]
-        runs.append({s["name"]: s["counters"] for s in stages})
+        runs.append(_stage_counters(f"{report}.manifest.json"))
     assert runs[0] == runs[1] == runs[2]
-    assert runs[0]["revalidate"] == {"edges_measured": 0}
-    assert runs[0]["read"]["lines_checked_singly"] == len(read_decg(graph).colors_used())
+    g = read_decg(graph)
+    assert runs[0]["revalidate"] == {"edges_measured": 0, "edges_revalidated": g.edge_count}
+    assert runs[0]["read"]["lines_checked_singly"] == len(g.colors_used())
 
 
 def test_manifest_stages_repeat_their_counters_across_runs_and_threads(tmp_path):
@@ -607,18 +631,22 @@ def test_manifest_stages_repeat_their_counters_across_runs_and_threads(tmp_path)
         ).encode())
     assert runs[0] == runs[1] == runs[2]
     color, cliques = json.loads(runs[0])
-    q = read_decg(graph).vertex_count
+    data = graph.read_bytes()
+    q = read_decg(data).vertex_count
     assert color == [["points", {"vertices": q}], ["color", {"edges": q * (q - 1) // 2}],
-                     ["write", {}]]
+                     ["write", {"bytes_hashed": data.rindex(b"end ")}]]
     assert [name for name, _ in cliques] == ["read", "revalidate", "color_classes", "clique_search"]
     search = cliques[-1][1]
     assert search["clique_nodes"] >= search["hint_stops"] >= 1
 
 
 def test_manifests_without_stages_have_no_stages_key(tmp_path):
-    out = tmp_path / "o.json"
-    assert main(["opposite", "--p", "2", "--q", "5", "--out", str(out)]) == 0
-    assert "stages" not in _validated(tmp_path / "o.json.manifest.json", "manifest")
+    out = tmp_path / "b.json"
+    assert main(["bounds", "--g", "9", "--k", "2", "--out", str(out)]) == 0
+    manifest = _validated(tmp_path / "b.json.manifest.json", "manifest")
+    assert "stages" not in manifest and "counters" not in manifest
+    with pytest.raises(jsonschema.ValidationError, match="'counters' was unexpected"):
+        jsonschema.validate({**manifest, "counters": {}}, load_schema("manifest"))
 
 
 def test_color_refuses_patterns_past_the_cell_cap(tmp_path, capsys):

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from decg import colorer
+from decg import cliques, colorer
 from decg import (
     BadFormat,
+    CapExceeded,
     ChecksumMismatch,
     ColoredGraph,
     ColorSet,
@@ -246,6 +247,23 @@ def test_decg_bad_header():
     assert info.value.line_no == 1
 
 
+def test_vertex_cap_holds_for_graphs_and_for_decg_headers():
+    """A header past the cap fails at its own line, before any vertex
+    line is read; one at the cap reads on, to the missing vertex lines.
+    No graph past the cap can be built, so the reader accepts every graph
+    the writer can write."""
+    assert cliques.CLIQUE_CAP == colorer.CLIQUE_CAP == 5000
+    header = b"decg 1\nsystem shift k=2 alpha=2/1\nn 2\nvertices %d  colors 25  sampled full\n"
+    for q, line_no in ((5000, 5), (5001, 4), (10**6, 4)):
+        with pytest.raises(BadFormat) as info:
+            read_decg(header % q)
+        assert info.value.line_no == line_no, q
+    assert str(info.value) == "line 4: vertex count 1000000 is not between 1 and the cap 5000"
+    x = PeriodicConfiguration.constant(2, 3)
+    with pytest.raises(CapExceeded, match="^5001 vertices exceeds cap 5000$"):
+        ColoredGraph(SYSTEM, 1, (x,) * 5001, array("B"), {})
+
+
 @pytest.mark.parametrize(
     "graph",
     [
@@ -295,7 +313,7 @@ def _distinct_tail_graph():
     # more of them than the reader remembers as checked or the hasher
     # builds step tables for
     g = _graph(5, 2, count=100)
-    assert g.edge_count > colorer._CHECKED_TAILS_CAP
+    assert g.edge_count > colorer._TAIL_CAP
     return _with_exponents(g, range(g.edge_count))
 
 
@@ -352,12 +370,12 @@ def test_edge_hasher_equals_reference_fnv_of_the_formatted_lines():
             lines = b"".join(b"e %d %d " % (i, k) + t for k, t in enumerate(tails, i + 1))
             assert hasher.row(0xCBF29CE484222325, i, tails) == reference.fnv1a64(lines), (i, j)
     assert set(TAILS) <= set(hasher.tails)  # tabled at their first lines
-    assert len(hasher.tails) == colorer._TAIL_TABLES_CAP  # the "12 0 0 k" tails fill the rest
+    assert len(hasher.tails) == colorer._TAIL_CAP  # the "12 0 0 k" tails fill the rest
 
 
 def test_edge_hasher_tail_tables_stay_within_their_cap():
     hasher = colorer._EdgeHasher()
-    cap = colorer._TAIL_TABLES_CAP
+    cap = colorer._TAIL_CAP
     state, lines = 0xCBF29CE484222325, []
     for i in range(2):  # every line has its own tail, across rows too
         tails = [b"%d 0 0 %d\n" % (i, k) for k in range(cap + 100)]
@@ -403,18 +421,18 @@ def test_tail_tables_are_capped_in_writer_and_reader(tmp_path, monkeypatch, grap
         expected = 9
     elif graph == "distinct":
         h = _distinct_tail_graph()  # every line has its own tail: the cap stops the tables
-        expected = colorer._TAIL_TABLES_CAP
+        expected = colorer._TAIL_CAP
     else:
         # 50 exponents per color, each tail on about 4 of 4950 lines: far more
         # tails than the (lowered) cap admits
-        monkeypatch.setattr(colorer, "_TAIL_TABLES_CAP", 5)
+        monkeypatch.setattr(colorer, "_TAIL_CAP", 5)
         g = _graph(5, 2, count=100)
         h = _with_exponents(g, (k % 50 for k in range(g.edge_count)))
         expected = 5
     built = _count_tail_tables(monkeypatch)
     path = tmp_path / "g.decg"
     write_decg(h, path)
-    assert len(built) == expected <= colorer._TAIL_TABLES_CAP
+    assert len(built) == expected <= colorer._TAIL_CAP
     built.clear()
     data = path.read_bytes()
     assert read_decg(data) == reference.read_decg(data) == h
@@ -702,14 +720,14 @@ def test_reader_matches_reference_where_batches_span_short_rows(tmp_path):
 
 def test_writer_matches_the_per_line_reference(monkeypatch):
     """Rows meet new colors mid-row and some hold nonzero exponents among
-    exponent-0 edges.  The writer's tail map is uncapped, so lowering the
-    tail cap to 5 reaches only the reader's `zero` map of exponent-0
-    tails, which new colors outrun on most rows."""
+    exponent-0 edges.  The writer's tail map is uncapped; lowering the
+    tail cap to 5 caps both hashers' step tables and the reader's `zero`
+    map of exponent-0 tails, which new colors outrun on most rows."""
     g = _graph(5, 2, count=60)
     h = _with_exponents(g, (k % 5 if k % 97 < 3 else 0 for k in range(g.edge_count)))
     for graph in (g, h):
         assert decg_dumps(graph) == reference.decg_dumps(graph)
-    monkeypatch.setattr(colorer, "_CHECKED_TAILS_CAP", 5)
+    monkeypatch.setattr(colorer, "_TAIL_CAP", 5)
     for graph in (g, h):
         text = decg_dumps(dataclasses.replace(graph))  # hashed afresh
         assert text == reference.decg_dumps(graph)

@@ -34,6 +34,14 @@ from decg import (
 from decg import intlog
 from decg.intlog import ceil_exp, floor_ln
 from decg.ramsey import DEFAULT_ORACLE_CAP, bounds_record, edge_list
+from decg.record import recording, stage
+
+
+def _searched(p, q, **kwargs):
+    """opposite_ramsey_exact's result and the search nodes it counted."""
+    with recording() as stages, stage("search"):
+        result = opposite_ramsey_exact(p, q, **kwargs)
+    return result, stages[0]["counters"]["oracle_nodes"]
 
 
 def _max_mono_order(q, edges, coloring):
@@ -236,16 +244,16 @@ def test_oracle_refuses_what_it_cannot_hold_before_searching():
     # so the search's own budget refuses any smaller cap
     with pytest.raises(CapExceeded, match="budget of 15 nodes"):
         opposite_ramsey_exact(1, 6, cap=15)
-    assert opposite_ramsey_exact(1, 6, cap=16).nodes == 16
+    assert _searched(1, 6, cap=16)[1] == 16
 
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_colors_past_the_edge_count_change_nothing(q):
     # fresh colors enter one per edge, so 100 colors hold q(q-1)/2 classes
     # (the CLI argv sweep runs 10**9 colors, in a child with a memory limit)
-    many = opposite_ramsey_exact(100, q)
-    few = opposite_ramsey_exact(q * (q - 1) // 2, q)
-    assert (many.r, many.extremal_coloring, many.nodes) == (few.r, few.extremal_coloring, few.nodes)
+    many, many_nodes = _searched(100, q)
+    few, few_nodes = _searched(q * (q - 1) // 2, q)
+    assert (many.r, many.extremal_coloring, many_nodes) == (few.r, few.extremal_coloring, few_nodes)
     assert verify_extremal(many)
     # the re-check builds only the classes a coloring uses, whatever their index
     assert verify_extremal(OppositeRamseyResult(100, 3, 2, (0, 5, 99)))
@@ -272,11 +280,11 @@ P2_Q11_COLORING = (
 
 
 def test_p2_q10_is_pinned():
-    result = opposite_ramsey_exact(2, 10)
+    result, nodes = _searched(2, 10)
     assert result.r == 3
     assert result.extremal_coloring == P2_Q10_COLORING
     assert verify_extremal(result)
-    assert result.nodes <= DEFAULT_ORACLE_CAP
+    assert nodes <= DEFAULT_ORACLE_CAP
 
 
 def test_p2_q11_is_pinned_under_the_default_budget():
@@ -299,8 +307,8 @@ P3_Q13_COLORING = (
 
 
 def test_p3_q13_is_pinned():
-    result = opposite_ramsey_exact(3, 13)
-    assert (result.r, result.extremal_coloring, result.nodes) == (2, P3_Q13_COLORING, 3825)
+    result, nodes = _searched(3, 13)
+    assert (result.r, result.extremal_coloring, nodes) == (2, P3_Q13_COLORING, 3825)
     assert verify_extremal(result)
 
 
