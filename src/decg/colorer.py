@@ -5,18 +5,19 @@ Every unordered pair of an alpha**-n-separated set is separated to
 color.  Colors live in the square window C_n = {v : |v| <= n}, ordered
 row-major from (-n, -n) to (n, n) and decoded by arithmetic, never from a
 table (`decg.action.ColorSet`).  Graphs serialize to the DECG text format, a line-oriented file
-with an FNV-1a-64 trailer checksum.  The writer formats a row of edge
-lines by mapping its colors to their remembered tails and joining them;
-the reader takes the edge lines in batches of about 4 KB, passes a batch's
-lines of one row whole when each is "e i j " and a tail it has already
-checked, and otherwise walks them, checking on its own each line that is
-not; it holds at most one batch of unchecked lines plus one line.
+with an FNV-1a-64 trailer checksum.  The writer joins the rows of tails
+that `_hashed_rows` maps and hashes; the reader takes the edge lines in
+batches of about 4 KB, passes a batch's lines of one row whole when each
+is "e i j " and a tail it has already checked, and otherwise walks them,
+checking on its own each line that is not; it holds at most one batch of
+unchecked lines plus one line, and checks the trailer against the
+checksum of the graph it parsed.
 
 FNV-1a's xor touches only the low byte of the state, so for any byte
 string s and 64-bit state h, fnv1a64(s, h) == (h * P**len(s) +
 A_s[h & 255]) mod 2**64, with P the FNV prime and a 256-entry step table
-A_s[l] = fnv1a64(s, l) - l * P**len(s).  The writer and the reader hash
-each edge line "e i j tail" by three or four such steps (the row prefix
+A_s[l] = fnv1a64(s, l) - l * P**len(s).  `_EdgeHasher` hashes each
+edge line "e i j tail" by three or four such steps (the row prefix
 "e i ", j as one or two base-100 groups, the tail) instead of about 19
 byte steps; `fnv1a64` hashes everything else, byte by byte.
 """
@@ -80,8 +81,9 @@ class ColoredGraph:
     Its vertices, at most CLIQUE_CAP of them, pass `system.check_point`
     with one period, so DECG reads what it writes.
     Fields cannot be assigned, and `dataclasses.replace` drops the cached
-    checksum, so the cache names this graph's own text unless the edge
-    array or exponent dict is edited in place.
+    checksum and set of colors used, so the caches name this graph's own
+    text and colors unless the edge array or exponent dict is edited in
+    place.
     """
 
     system: ShiftSystem
@@ -91,13 +93,11 @@ class ColoredGraph:
     edge_quality: dict[int, int]
     sampled: str = "full"
     _checksum: str | None = field(default=None, init=False, repr=False, compare=False)
+    _used: frozenset[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = len(self.vertices)
-        if q < 1:
-            raise ValueError("graph needs at least one vertex")
-        if q > CLIQUE_CAP:
-            raise CapExceeded(f"{q} vertices exceeds cap {CLIQUE_CAP}")
+        _check_vertex_count(q)
         for x in self.vertices:
             self.system.check_point(x, self.vertices[0].width)
         expected = q * (q - 1) // 2
@@ -151,15 +151,24 @@ class ColoredGraph:
             for j, (c, e) in enumerate(zip(colors, exponents), i + 1):
                 yield i, j, c, e
 
-    def colors_used(self) -> set[int]:
-        return set(self.edge_colors)
+    def colors_used(self) -> frozenset[int]:
+        if self._used is None:
+            object.__setattr__(self, "_used", frozenset(self.edge_colors))
+        return self._used
 
     def checksum_hex(self) -> str:
         if self._checksum is None:
-            for _ in _signed_pieces(self):  # hashes the text one row at a time; sets the cache
+            for _ in _hashed_rows(self, _head_piece(self)):  # hashes row by row; sets the cache
                 pass
         assert self._checksum is not None
         return self._checksum
+
+
+def _check_vertex_count(q: int) -> None:
+    if q < 1:
+        raise ValueError("graph needs at least one vertex")
+    if q > CLIQUE_CAP:
+        raise CapExceeded(f"{q} vertices exceeds cap {CLIQUE_CAP}")
 
 
 def color_graph(
@@ -174,12 +183,13 @@ def color_graph(
     differing site of least norm in scan order, which always achieves
     exponent 0.  A pair with no differing site in the window, which means
     the input is not alpha**-n-separated, raises NoWitness, and a palette
-    of more than sys.maxsize colors raises ValueError.  Output is deterministic.
+    of more than sys.maxsize colors raises ValueError.  More than
+    CLIQUE_CAP points raise CapExceeded before any edge is colored.
+    Output is deterministic.
     """
     colors = array(ColorSet(n).typecode)
     points = tuple(vertices.points if isinstance(vertices, SeparatedSet) else vertices)
-    if not points:
-        raise ValueError("graph needs at least one vertex")
+    _check_vertex_count(len(points))
     width = points[0].width
     for p in points:
         system.check_point(p, width)
@@ -227,9 +237,9 @@ def _step_table(token: bytes) -> tuple[int, array]:
     return power, array("Q", [(s - low * power) & _MASK64 for low, s in enumerate(states)])
 
 
-# Edge-line tails ("c vx vy quality\n") a hasher builds step tables for,
-# and the reader remembers as checked with exponent 0: the first this many
-# of each, at their first lines.  Other tails are hashed byte by byte and
+# Edge-line tails ("c vx vy quality\n") `_hashed_rows` builds step tables
+# for, and the reader remembers as checked with exponent 0: the first this
+# many of each, at their first lines.  Other tails are hashed byte by byte and
 # checked on every line.  A `decg color` file has one tail per color used
 # (9 at n = 1, 20 at n = 2 on 1000 samples, at most 49 up to n = 3), so
 # the cap never binds on it.  A file with a distinct tail on every line
@@ -325,42 +335,45 @@ def _head_piece(graph: ColoredGraph) -> bytes:
     return "".join(line + "\n" for line in head).encode("utf-8")
 
 
-def _edge_rows(graph: ColoredGraph) -> Iterator[tuple[int, list[bytes]]]:
+def _hashed_rows(graph: ColoredGraph, head: bytes) -> Iterator[tuple[int, list[bytes]]]:
     """(i, the tails "c vx vy quality\\n" of the edge lines (i, i+1..q-1))
-    for each row i.  A row with no nonzero exponent maps its colors to
+    for each row i, hashing the body from `head`, the graph's `_head_piece`,
+    over each row once it is yielded and caching the checksum on the graph
+    after the last.  A row with no nonzero exponent maps its colors to
     their exponent-0 tails in one pass."""
+    h = fnv1a64(head)
+    hasher = _EdgeHasher()
     vectors = graph.colors
     known = {c: b"%d %d %d 0\n" % (c, *vectors[c]) for c in graph.colors_used()}
     for i, colors, exps in graph.rows():
         if any(exps):
-            yield i, [
+            tails = [
                 b"%d %d %d %d\n" % (c, *vectors[c], e) if e else known[c]
                 for c, e in zip(colors, exps)
             ]
         else:
-            yield i, list(map(known.__getitem__, colors))
+            tails = list(map(known.__getitem__, colors))
+        yield i, tails
+        h = hasher.row(h, i, tails)
+    object.__setattr__(graph, "_checksum", f"{h:016x}")
 
 
 def _signed_pieces(graph: ColoredGraph) -> Iterator[bytes]:
     """The DECG text as UTF-8 pieces: the header and vertex lines, one
     piece per row i holding the edges (i, i+1..q-1), then the end line.
-    Each piece before the end line is hashed as it passes, counted as
-    `bytes_hashed`, and the body checksum is cached on the graph."""
+    Each piece before the end line is hashed by `_hashed_rows` and
+    counted as `bytes_hashed`."""
     head = _head_piece(graph)
-    h = fnv1a64(head)
     count("bytes_hashed", len(head))
     yield head
-    hasher = _EdgeHasher()
     indices = [b"%d " % j for j in range(graph.vertex_count)]
-    for i, tails in _edge_rows(graph):
-        h = hasher.row(h, i, tails)
+    for i, tails in _hashed_rows(graph, head):
         parts = [b"e %d " % i] * (3 * len(tails))  # each line's "e i ", "j " and tail
         parts[1::3] = indices[i + 1 :]
         parts[2::3] = tails
         piece = b"".join(parts)
         count("bytes_hashed", len(piece))
         yield piece
-    object.__setattr__(graph, "_checksum", f"{h:016x}")
     yield f"end {graph._checksum}\n".encode("ascii")
 
 
@@ -423,9 +436,9 @@ def _edge_fields(line_no: int, raw: bytes, i: int, j: int, colors: ColorSet) -> 
     return c, quality
 
 
-def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[int, int], int]:
-    """The edge lines of a q-vertex body, checked and hashed one row at a
-    time: (colors, nonzero exponents by edge index, the continued `state`).
+def _read_edges(fh, q: int, colors: ColorSet) -> tuple[array, dict[int, int]]:
+    """The edge lines of a q-vertex body, checked one row at a time:
+    (colors, nonzero exponents by edge index).
 
     Lines come in batches of about 4 KB, never past the last edge line of
     a well-formed body (a shorter line fails before any past it).  A
@@ -434,30 +447,28 @@ def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[i
     as such a line passes the same checks.  Otherwise its lines take that
     test in order against the memo as it stands, and one that fails it is
     checked on its own by `_edge_fields`, which fails it if it lacks that
-    prefix, so an accepted line is exactly the prefix and tail it hashes.
+    prefix, so an accepted line is exactly the writer's line of its edge.
     """
     zero: dict[bytes, int] = {}  # the checked tails of exponent 0, by color
-    hasher = _EdgeHasher()
     edge_colors = array(colors.typecode)
     edge_quality: dict[int, int] = {}
     batch: list[bytes] = []
-    singly = hashed = 0
+    singly = hashed = end = 0
     for i in range(q - 1):
         head = b"e %d %%d " % i
-        tails: list[bytes] = []
-        while len(tails) < q - 1 - i:
+        end += q - 1 - i  # the edge index past row i
+        while len(edge_colors) < end:
             if not batch:  # no edge line is shorter than "e 0 1 0 0 0 0\n": none is read past
                 left = q * (q - 1) // 2 - len(edge_colors)
                 batch = fh.readlines(min(4096, 14 * left - 1)) or [b""]
                 hashed += len(b"".join(batch))
-            j = i + 1 + len(tails)
+            j = q - end + len(edge_colors)  # the next line's column
             segment, batch = batch[: q - j], batch[q - j :]  # the batch's lines of row i
             pre = list(map(head.__mod__, range(j, j + len(segment))))  # their "e i j "
             known = list(map(bytes.removeprefix, segment, pre))
             found = list(map(zero.get, known))
             if all(map(bytes.startswith, segment, pre)) and None not in found:
                 edge_colors.extend(found)
-                tails += known
                 continue
             for j, raw, p, tail in zip(range(j, q), segment, pre, known):
                 c = zero.get(tail) if raw.startswith(p) else None  # live: sees this segment's checks
@@ -469,11 +480,9 @@ def _read_edges(fh, q: int, colors: ColorSet, state: int) -> tuple[array, dict[i
                     elif len(zero) < _TAIL_CAP:
                         zero[tail] = c
                 edge_colors.append(c)
-                tails.append(tail)
-        state = hasher.row(state, i, tails)
     count("bytes_hashed", hashed)
     count("lines_checked_singly", singly)
-    return edge_colors, edge_quality, state
+    return edge_colors, edge_quality
 
 
 def read_decg(source) -> ColoredGraph:
@@ -483,13 +492,14 @@ def read_decg(source) -> ColoredGraph:
     values: integers in ASCII digits with no leading zero, alpha in lowest
     terms), the header arithmetic (1 <= q <= CLIQUE_CAP, edge count equals
     q*(q-1)/2, palette size equals (2n+1)**2, color indices match their
-    vectors) and the trailer checksum.  Edge lines are read in batches of
-    about 4 KB and hashed one row at a time, so the reader holds at most
-    one batch of unchecked lines plus one line, and memory grows with the
-    edge count, never with the text or the header's palette.  The bytes
-    read and hashed are counted as `bytes_hashed`.  The first bad line is
-    named by its number.  Witness validity is not checked here;
-    `cliques.revalidate_edges` does that.
+    vectors) and the trailer, against the `checksum_hex` of the graph
+    parsed: a text that passes the other checks is the writer's text of
+    that graph.  Edge lines are read in batches of about 4 KB, so the
+    reader holds at most one batch of unchecked lines plus one line, and
+    memory grows with the edge count, never with the text or the header's
+    palette.  The bytes read before the end line are counted as
+    `bytes_hashed`.  The first bad line is named by its number.  Witness
+    validity is not checked here; `cliques.revalidate_edges` does that.
     """
     if isinstance(source, bytes):
         return _read_lines(io.BytesIO(source))
@@ -498,11 +508,9 @@ def read_decg(source) -> ColoredGraph:
 
 
 def _read_lines(fh) -> ColoredGraph:
-    head: list[bytes] = []  # header and vertex lines, hashed as one piece
-
     def line(line_no: int) -> str:
         raw = fh.readline()
-        head.append(raw)
+        count("bytes_hashed", len(raw))
         return _line_text(line_no, raw)
 
     def match(line_no: int, pattern: re.Pattern, what: str) -> re.Match:
@@ -553,9 +561,7 @@ def _read_lines(fh) -> ColoredGraph:
         if vertices and p.width != vertices[0].width:
             _fail(line_no, f"vertex period {p.width} differs from {vertices[0].width}")
         vertices.append(p)
-    head_bytes = b"".join(head)
-    count("bytes_hashed", len(head_bytes))
-    edge_colors, edge_quality, state = _read_edges(fh, q, colors, fnv1a64(head_bytes))
+    edge_colors, edge_quality = _read_edges(fh, q, colors)
 
     end_no = 5 + q + q * (q - 1) // 2
     end_line = _line_text(end_no, fh.readline())
@@ -563,11 +569,9 @@ def _read_lines(fh) -> ColoredGraph:
         _fail(end_no, "malformed end line")
     if fh.read(1):
         _fail(end_no + 1, "trailing content after end line")
-    actual = f"{state:016x}"
+    graph = ColoredGraph(system, n, tuple(vertices), edge_colors, edge_quality, sampled)
+    actual = graph.checksum_hex()
     stored = end_line[4:]
     if actual != stored:
         raise ChecksumMismatch(f"stored checksum {stored}, recomputed {actual}")
-
-    graph = ColoredGraph(system, n, tuple(vertices), edge_colors, edge_quality, sampled)
-    object.__setattr__(graph, "_checksum", stored)
     return graph

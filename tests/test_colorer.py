@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -262,6 +263,8 @@ def test_vertex_cap_holds_for_graphs_and_for_decg_headers():
     x = PeriodicConfiguration.constant(2, 3)
     with pytest.raises(CapExceeded, match="^5001 vertices exceeds cap 5000$"):
         ColoredGraph(SYSTEM, 1, (x,) * 5001, array("B"), {})
+    with pytest.raises(CapExceeded, match="^5001 vertices exceeds cap 5000$"):
+        color_graph(SYSTEM, [x] * 5001, 1)  # before any edge, so not NoWitness
 
 
 @pytest.mark.parametrize(
@@ -279,7 +282,7 @@ def test_write_decg_and_checksum_match_decg_dumps(tmp_path, graph):
     data = path.read_bytes()
     assert data == decg_dumps(graph).encode()
     body = data[: data.rindex(b"end ")]
-    fresh = dataclasses.replace(read_decg(data))  # hashed again from the pieces
+    fresh = dataclasses.replace(read_decg(data))  # hashed again by checksum_hex
     assert fresh.checksum_hex() == f"{reference.fnv1a64(body):016x}"
 
 
@@ -798,6 +801,25 @@ def test_reader_refuses_integers_the_writer_would_not_write(line_no, written, re
         with pytest.raises(BadFormat) as info:
             reader(data)
         assert info.value.line_no == line_no
+
+
+def test_a_non_canonical_field_past_the_line_checks_fails_the_checksum(monkeypatch):
+    """The trailer is checked against the writer's text of the graph read,
+    so a re-signed `n 01` that a loosened `n` line check lets through
+    still fails."""
+    monkeypatch.setattr(colorer, "_N_RE", re.compile("n 0*([0-9]+)"))
+    with pytest.raises(ChecksumMismatch):
+        read_decg(_signed_edit(3, "n 1", "n 01"))
+
+
+def test_checksum_hex_hashes_the_graph_without_formatting_its_text(monkeypatch):
+    graph = dataclasses.replace(read_decg(CANONICAL.encode()))  # no cached checksum
+
+    def unreachable(graph):
+        raise AssertionError("checksum_hex formatted the DECG text")
+
+    monkeypatch.setattr(colorer, "_signed_pieces", unreachable)
+    assert graph.checksum_hex() == "c96b7049b18bf9be" == CANONICAL[-17:-1]
 
 
 @pytest.mark.parametrize(
