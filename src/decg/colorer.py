@@ -19,7 +19,8 @@ A_s[h & 255]) mod 2**64, with P the FNV prime and a 256-entry step table
 A_s[l] = fnv1a64(s, l) - l * P**len(s).  `_EdgeHasher` hashes each
 edge line "e i j tail" by three or four such steps (the row prefix
 "e i ", j as one or two base-100 groups, the tail) instead of about 19
-byte steps; `fnv1a64` hashes everything else, byte by byte.
+byte steps, from index tables it builds once from the vertex count;
+`fnv1a64` hashes everything else, byte by byte.
 """
 
 from __future__ import annotations
@@ -29,17 +30,16 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 from typing import Iterator, Sequence
 
 from .action import (
-    ORIGIN,
     ColorSet,
     PeriodicConfiguration,
     ShiftSystem,
     encode_pattern,
     parse_pattern,
     scan_order,
-    window_mask,
 )
 from .errors import BadFormat, CapExceeded, ChecksumMismatch, NoWitness
 from .record import count
@@ -179,23 +179,25 @@ def color_graph(
 ) -> ColoredGraph:
     """Color the complete graph on `vertices` with the window C_n.
 
-    Each edge's color is the witness vector from find_witness: the
-    differing site of least norm in scan order, which always achieves
-    exponent 0.  A pair with no differing site in the window, which means
-    the input is not alpha**-n-separated, raises NoWitness, and a palette
-    of more than sys.maxsize colors raises ValueError.  More than
-    CLIQUE_CAP points raise CapExceeded before any edge is colored.
-    Output is deterministic.
+    Each edge's color is the witness vector that `min_diff_vector` and
+    `find_witness` return: the differing site of least norm in scan order,
+    which always achieves exponent 0.  A pair with no differing site in
+    the window, which means the input is not alpha**-n-separated, raises
+    NoWitness, and a palette of more than sys.maxsize colors raises
+    ValueError.  More than CLIQUE_CAP points raise CapExceeded before any
+    edge is colored.  Output is deterministic.
     """
-    colors = array(ColorSet(n).typecode)
+    palette = ColorSet(n)
+    colors = array(palette.typecode)
     points = tuple(vertices.points if isinstance(vertices, SeparatedSet) else vertices)
     _check_vertex_count(len(points))
     width = points[0].width
     for p in points:
         system.check_point(p, width)
-    window = window_mask(width, ORIGIN, n)  # the scan ranks below window.bit_length()
-    vectors = scan_order(width)[0][: window.bit_length()]
-    color_of_bit = {1 << r: ColorSet(n).index_of(v) for r, v in enumerate(vectors)}  # by cell bit
+    # Scan order goes ring by ring, so the window's cells take the lowest ranks.
+    vectors = takewhile(lambda v: v.norm <= n, scan_order(width)[0])
+    color_of_bit = {1 << r: palette.index_of(v) for r, v in enumerate(vectors)}  # by cell bit
+    window = (1 << len(color_of_bit)) - 1
     q = len(points)
     columns = [  # plane j of every vertex, cut to the window
         [plane & window for plane in column] for column in zip(*(p.planes for p in points))
@@ -249,54 +251,43 @@ _TAIL_CAP = 64
 
 
 class _EdgeHasher:
-    """Continues an FNV-1a-64 state over the edge lines of one DECG body,
-    "e i j tail" with tail = "c vx vy quality\\n", by step tables.
+    """Continues an FNV-1a-64 state over the edge lines of the DECG body of
+    a q-vertex graph, "e i j tail" with tail = "c vx vy quality\\n", by
+    step tables.
 
-    Index tables grow with the largest j hashed, never with a header's
-    vertex count: "j " for j < 100, else the group "j // 100" followed by
-    "jj " (j % 100, two digits), at most about 110 + q/100 tables.
+    The index tables are built once, from q: "j " for j < 100 and, when
+    q > 100, the group "j // 100" and "jj " (j % 100, two digits), plus
+    the row heads "e " and "e h" for h = i // 100, about 110 + q/50
+    tables.  Tail tables are built at each tail's first line.
     """
 
-    def __init__(self):
-        self.small: list[tuple[int, array]] = []  # "j " for j < 100
-        self.low: list[tuple[int, array]] = []  # "jj " for j % 100, once some j >= 100
+    def __init__(self, q: int):
+        self.small = [_step_table(b"%d " % j) for j in range(min(q, 100))]  # "j " for j < 100
+        self.low: list[tuple[int, array]] = []  # "jj " for j % 100, when q > 100
         self.high: list[tuple[int, array]] = []  # "h" for h = j // 100 (high[0] unused)
+        if q > 100:  # "jj " is "j " from 10 on
+            self.low = [_step_table(b"%02d " % d) for d in range(10)] + self.small[10:]
+            self.high = [_step_table(b"%d" % h) for h in range((q - 1) // 100 + 1)]
         # "e " and "e h" for h = i // 100: a row prefix less its last index
         # group, with the low byte each table's step leaves behind
         self.heads: list[tuple[int, array, bytes]] = []
+        for h in range((q - 2) // 100 + 1):
+            power, steps = _step_table(b"e %d" % h if h else b"e ")
+            after = bytes([(low * power + a) & 255 for low, a in enumerate(steps)])
+            self.heads.append((power, steps, after))
         self.tails: dict[bytes, tuple[int, array]] = {}
 
-    def row(self, state: int, i: int, tails: list[bytes]) -> int:
-        """`state` continued over the edge lines (i, i+1), (i, i+2), ...,
-        the k-th of which ends in tails[k]."""
-        return self._steps(state, self._prepare(i, tails), i, tails)
-
-    def _prepare(self, i: int, tails: list[bytes]) -> tuple[int, list[int]]:
-        """Build the index tables the row needs; returns the row prefix's.
-        Tail tables are built by `_steps`, at each tail's first line."""
-        last = i + len(tails)
-        small, high, heads = self.small, self.high, self.heads
-        while len(small) <= min(last, 99):
-            small.append(_step_table(b"%d " % len(small)))
-        if last >= 100:
-            if not self.low:  # "jj " is "j " from 10 on
-                self.low = [_step_table(b"%02d " % d) for d in range(10)] + small[10:]
-            while len(high) <= last // 100:
-                high.append(_step_table(b"%d" % len(high)))
-        while len(heads) <= i // 100:
-            power, steps = _step_table(b"e %d" % len(heads) if heads else b"e ")
-            after = bytes([(low * power + a) & 255 for low, a in enumerate(steps)])
-            heads.append((power, steps, after))
-        # The head's step from low byte l gives h * m1 + a1[l], whose low
-        # byte is after[l]; the index group's step follows from there.
-        m1, a1, after = heads[i // 100]
-        m2, a2 = small[i] if i < 100 else self.low[i % 100]
-        return (m1 * m2) & _MASK64, [(a * m2 + a2[n]) & _MASK64 for a, n in zip(a1, after)]
-
-    def _steps(self, h: int, prefix: tuple[int, list[int]], i: int, tails: list[bytes]) -> int:
-        """The step arithmetic of `row`, once `_prepare` has built its tables."""
-        pm, pa = prefix
+    def row(self, h: int, i: int, tails: list[bytes]) -> int:
+        """`h` continued over the edge lines (i, i+1), (i, i+2), ..., the
+        k-th of which ends in tails[k]."""
         small, low, high, tables = self.small, self.low, self.high, self.tails
+        # The row prefix "e i " as one step: the head's step from low byte l
+        # gives h * m1 + a1[l], whose low byte is after[l]; the index
+        # group's step follows from there.
+        m1, a1, after = self.heads[i // 100]
+        m2, a2 = small[i] if i < 100 else low[i % 100]
+        pm = (m1 * m2) & _MASK64
+        pa = [(a * m2 + a2[n]) & _MASK64 for a, n in zip(a1, after)]
         for j, tail in enumerate(tails, i + 1):
             # reduced mod 2**64 once per line: the low byte is the same either way
             h = h * pm + pa[h & 255]
@@ -342,7 +333,7 @@ def _hashed_rows(graph: ColoredGraph, head: bytes) -> Iterator[tuple[int, list[b
     after the last.  A row with no nonzero exponent maps its colors to
     their exponent-0 tails in one pass."""
     h = fnv1a64(head)
-    hasher = _EdgeHasher()
+    hasher = _EdgeHasher(graph.vertex_count)
     vectors = graph.colors
     known = {c: b"%d %d %d 0\n" % (c, *vectors[c]) for c in graph.colors_used()}
     for i, colors, exps in graph.rows():
@@ -461,7 +452,7 @@ def _read_edges(fh, q: int, colors: ColorSet) -> tuple[array, dict[int, int]]:
             if not batch:  # no edge line is shorter than "e 0 1 0 0 0 0\n": none is read past
                 left = q * (q - 1) // 2 - len(edge_colors)
                 batch = fh.readlines(min(4096, 14 * left - 1)) or [b""]
-                hashed += len(b"".join(batch))
+                hashed += sum(map(len, batch))
             j = q - end + len(edge_colors)  # the next line's column
             segment, batch = batch[: q - j], batch[q - j :]  # the batch's lines of row i
             pre = list(map(head.__mod__, range(j, j + len(segment))))  # their "e i j "

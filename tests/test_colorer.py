@@ -366,7 +366,7 @@ def _row_tails(i, j):
 
 
 def test_edge_hasher_equals_reference_fnv_of_the_formatted_lines():
-    hasher = colorer._EdgeHasher()  # one hasher: its tables serve any row, in any order
+    hasher = colorer._EdgeHasher(5001)  # one hasher: its tables serve any row, in any order
     for i in INDICES:
         for j in [j for j in INDICES if j > i] or [i + 1]:
             tails = _row_tails(i, j)
@@ -377,8 +377,8 @@ def test_edge_hasher_equals_reference_fnv_of_the_formatted_lines():
 
 
 def test_edge_hasher_tail_tables_stay_within_their_cap():
-    hasher = colorer._EdgeHasher()
     cap = colorer._TAIL_CAP
+    hasher = colorer._EdgeHasher(cap + 102)  # rows 0 and 1 reach j = cap + 101
     state, lines = 0xCBF29CE484222325, []
     for i in range(2):  # every line has its own tail, across rows too
         tails = [b"%d 0 0 %d\n" % (i, k) for k in range(cap + 100)]
@@ -401,6 +401,18 @@ def test_decg_round_trip_across_the_base_100_boundary(tmp_path, exponents):
     body = data[: data.rindex(b"end ")]
     assert g.checksum_hex() == f"{reference.fnv1a64(body):016x}"
     assert read_decg(path) == reference.read_decg(data) == g
+
+
+@pytest.mark.parametrize("q", [1, 2, 99, 100, 101, 102, 201, 202])
+def test_checksum_and_round_trip_at_the_hasher_table_boundaries(q):
+    """q at each step of the hasher's index tables: min(q, 100) "j "
+    tables, the "jj " and "h" tables from q = 101 (a third "h" at 201),
+    and one more row head at q = 102 and at 202."""
+    g = color_graph(SYSTEM, sample_periodic_points(2, 5, q, 7), 2)
+    assert g.vertex_count == q
+    data = decg_dumps(g).encode()
+    assert g.checksum_hex() == f"{reference.fnv1a64(data[: data.rindex(b'end ')]):016x}"
+    assert read_decg(data) == reference.read_decg(data) == g
 
 
 def _count_tail_tables(monkeypatch) -> list:
@@ -462,11 +474,11 @@ def _peak_traced_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-def _crc32_steps(hasher, state, prefix, i, tails):
-    """A stand-in for colorer._EdgeHasher._steps, after `_prepare` has
-    built the same index tables (it builds no tail tables): CRC-32 of the
-    row index and the tails, chained over rows, so the writer and the
-    reader still agree."""
+def _crc32_row(hasher, state, i, tails):
+    """A stand-in for colorer._EdgeHasher.row, on a hasher that has built
+    its index tables (it builds no tail tables): CRC-32 of the row index
+    and the tails, chained over rows, so the writer and the reader still
+    agree."""
     return zlib.crc32(b"".join(tails), zlib.crc32(b"%d" % i, state & 0xFFFFFFFF))
 
 
@@ -484,12 +496,13 @@ def test_decg_reader_and_writer_memory_grows_with_edges_not_text(tmp_path, monke
 
     tracemalloc traces every int the step arithmetic makes, which would
     cost several seconds per call, so a CRC-32 of each row stands in for
-    the steps once the index tables are built.  The stand-in builds no
-    tail tables, which the real steps build as tails earn them (at most
-    one per color used here, 18 KB): the figures measure what the writer
-    and reader hold with index tables only, and the hash holds nothing.
+    `row`; the hasher still builds its index tables from the vertex
+    count.  The stand-in builds no tail tables, which the real `row`
+    builds as tails earn them (at most one per color used here, 18 KB):
+    the figures measure what the writer and reader hold with index tables
+    only, and the hash holds nothing.
     """
-    monkeypatch.setattr(colorer._EdgeHasher, "_steps", _crc32_steps)
+    monkeypatch.setattr(colorer._EdgeHasher, "row", _crc32_row)
     graph = _graph(3, 1)
     assert graph.edge_count == 130816
     path = tmp_path / "g.decg"
@@ -513,13 +526,13 @@ def test_read_decg_holds_an_edge_in_a_byte_or_two(tmp_path, monkeypatch):
 
     Measured on CPython 3.11: 0.60 MB, 7.5 B/edge, of which the color
     array is 1 B/edge and the rest is the vertices, the index step tables
-    and one row's tails; the CRC-32 stand-in for the steps builds no tail
+    and one row's tails; the CRC-32 stand-in for `row` builds no tail
     tables (at most one per color used, 50 KB).  Edges held as two tuples
     of ints (16 B/edge), built through lists, peaked at 2.56 MB (32.1
     B/edge), so the bound fails them.
     """
     g = _w2_shaped_graph()[0]  # its cached text is signed before the stand-in
-    monkeypatch.setattr(colorer._EdgeHasher, "_steps", _crc32_steps)
+    monkeypatch.setattr(colorer._EdgeHasher, "row", _crc32_row)
     path = tmp_path / "g.decg"
     write_decg(g, path)
     assert read_decg(path).edge_colors.typecode == "B"
