@@ -18,15 +18,17 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .errors import CapExceeded, MismatchedSystems, UnknownColor
 
 ENUMERATION_CAP = 1 << 25
 
-# The most cells (w*w) a pattern that `decg color` samples or `decg probe`
-# builds may hold: width 64, so --n up to 31 for `color`.  A width is
-# refused before any pattern of it is allocated.
+# The most cells (w*w) any pattern may hold: width 64, so --n up to 31 for
+# `color`.  PeriodicConfiguration refuses a wider pattern before it checks
+# a cell, and `decg color` and `decg probe` refuse a width before any
+# pattern of it is allocated.
 MAX_PATTERN_CELLS = 1 << 12
 
 _MASK64 = (1 << 64) - 1
@@ -97,29 +99,23 @@ class ColorSet:
         return (x + n) * (2 * n + 1) + (y + n)
 
 
-def ring_vectors(radius: int) -> Iterator[LatticeVector]:
-    """Vectors of sup norm exactly `radius`, in (x, y) lexicographic order."""
-    if radius == 0:
-        yield LatticeVector(0, 0)
-        return
-    for a in range(-radius, radius + 1):
-        if abs(a) == radius:
-            for b in range(-radius, radius + 1):
-                yield LatticeVector(a, b)
-        else:
-            yield LatticeVector(a, -radius)
-            yield LatticeVector(a, radius)
+def _scan(side: range) -> tuple[LatticeVector, ...]:
+    """side x side ring by ring, (x, y) order within a ring: the scan order
+    used everywhere a deterministic choice among vectors is needed."""
+    vectors = itertools.starmap(LatticeVector, itertools.product(side, side))
+    return tuple(sorted(vectors, key=attrgetter("norm")))  # stable
 
 
 @functools.lru_cache(maxsize=16)
 def ball_vectors(radius: int) -> tuple[LatticeVector, ...]:
-    """All vectors of sup norm <= radius, ring by ring, lexicographic in
-    each ring.  This is the scan order used everywhere a deterministic
-    choice among vectors is needed."""
-    out: list[LatticeVector] = []
-    for r in range(radius + 1):
-        out.extend(ring_vectors(r))
-    return tuple(out)
+    """All vectors of sup norm <= radius, in scan order."""
+    return _scan(range(-radius, radius + 1))
+
+
+def ring_vectors(radius: int) -> tuple[LatticeVector, ...]:
+    """Vectors of sup norm exactly `radius`, in (x, y) lexicographic order:
+    the ball's tail past the (2r - 1)**2 vectors of the smaller rings."""
+    return ball_vectors(radius)[max(2 * radius - 1, 0) ** 2 :]
 
 
 @functools.total_ordering
@@ -163,19 +159,18 @@ class ShiftDistance:
 
 @functools.lru_cache(maxsize=16)
 def scan_order(width: int) -> tuple[tuple[LatticeVector, ...], tuple[int, ...]]:
-    """(vectors, bit): the w*w cells of period `width` numbered by scan rank,
-    the order in which ball_vectors(width // 2) first reaches them (vectors
-    act modulo w).  `vectors[r]` first reaches the cell of rank r, and
-    row-major cell i has rank `bit[i]`, a bijection onto range(w*w).  A
-    smaller ball visits a prefix of this order, so the lowest set bit of a
-    diff mask is the pair's first differing site at every radius."""
-    reached: dict[int, LatticeVector] = {}
-    for v in ball_vectors(width // 2):
-        reached.setdefault((v.x % width) * width + v.y % width, v)
+    """(vectors, bit): the w*w cells of period `width` numbered by the rank
+    at which the scan first reaches them (vectors act modulo w), which it
+    does at coordinates in range(-(w // 2), (w + 1) // 2).  `vectors[r]`
+    first reaches the cell of rank r, and row-major cell i has rank
+    `bit[i]`, a bijection onto range(w*w).  A smaller ball visits a prefix
+    of this order, so the lowest set bit of a diff mask is the pair's
+    first differing site at every radius."""
+    vectors = _scan(range(-(width // 2), (width + 1) // 2))
     bit = [0] * (width * width)
-    for rank, cell in enumerate(reached):
-        bit[cell] = rank
-    return tuple(reached.values()), tuple(bit)
+    for rank, v in enumerate(vectors):
+        bit[(v.x % width) * width + v.y % width] = rank
+    return vectors, tuple(bit)
 
 
 @dataclass(frozen=True)
@@ -195,6 +190,9 @@ class PeriodicConfiguration:
             raise ValueError("width must be a positive integer")
         if not 2 <= self.alphabet_size <= 36:
             raise ValueError("alphabet size must be in 2..36 (base-36 text encoding)")
+        w = self.width
+        if w * w > MAX_PATTERN_CELLS:
+            raise ValueError(f"{w}x{w} = {w * w} cells exceeds the cap of {MAX_PATTERN_CELLS}")
         if len(self.cells) != self.width * self.width:
             raise ValueError(
                 f"expected {self.width * self.width} cells, got {len(self.cells)}"

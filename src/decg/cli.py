@@ -56,6 +56,10 @@ EXIT_CAP = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
 
+# The largest --n-max `dimension` takes.  Its rows and CSV text are built
+# in memory, which grows with --n-max; 100 000 rows make a 3.76 MB CSV.
+MAX_DIMENSION_N = 100_000
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -276,6 +280,8 @@ def cmd_bounds(args) -> tuple[dict, dict]:
 
 def cmd_dimension(args) -> tuple[dict, dict]:
     ShiftSystem(alphabet_size=args.k, alpha=args.alpha)  # refuses k and alpha as color does
+    if args.n_max > MAX_DIMENSION_N:
+        raise ValueError(f"--n-max {args.n_max} exceeds the cap of {MAX_DIMENSION_N}")
     seq = GrowthSequence.shift_closed_form(args.k, args.n_max)
     return {}, _emit(growth_csv(seq, args.alpha), args.out)
 

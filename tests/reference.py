@@ -25,8 +25,13 @@ package.
 `revalidation_exponent`, so it shares no mask code with the package's.
 `color_classes` is the one-pass build of every class's masks that the
 byte matrix replaced.
+`ring_vectors`, `ball_vectors` and `scan_order` are the row-by-row ring
+walk, the ring concatenation and the first-reach table that the
+package's one stable sort by norm replaced; every scan in this file runs
+over them, not over the package's vectors.
 """
 
+import functools
 import math
 import re
 from array import array
@@ -45,10 +50,8 @@ from decg import (
     ShiftDistance,
     ShiftSystem,
     UnknownColor,
-    ball_vectors,
     encode_pattern,
     parse_pattern,
-    ring_vectors,
 )
 from decg.ramsey import edge_list
 
@@ -59,6 +62,43 @@ def fnv1a64(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * 0x100000001B3) % (1 << 64)
     return h
+
+
+def ring_vectors(radius: int):
+    """Vectors of sup norm exactly `radius`, in (x, y) lexicographic order,
+    walked row by row: whole edge rows, two ends of every inner row."""
+    if radius == 0:
+        yield LatticeVector(0, 0)
+        return
+    for a in range(-radius, radius + 1):
+        if abs(a) == radius:
+            for b in range(-radius, radius + 1):
+                yield LatticeVector(a, b)
+        else:
+            yield LatticeVector(a, -radius)
+            yield LatticeVector(a, radius)
+
+
+@functools.lru_cache(maxsize=None)
+def ball_vectors(radius: int) -> tuple[LatticeVector, ...]:
+    """All vectors of sup norm <= radius, the rings concatenated."""
+    out: list[LatticeVector] = []
+    for r in range(radius + 1):
+        out.extend(ring_vectors(r))
+    return tuple(out)
+
+
+def scan_order(width: int):
+    """(vectors, bit) as the package's `scan_order`: each cell of period
+    `width` keeps the first vector of ball_vectors(width // 2) that reaches
+    it, and is numbered by the order of first reach."""
+    reached: dict[int, LatticeVector] = {}
+    for v in ball_vectors(width // 2):
+        reached.setdefault((v.x % width) * width + v.y % width, v)
+    bit = [0] * (width * width)
+    for rank, cell in enumerate(reached):
+        bit[cell] = rank
+    return tuple(reached.values()), tuple(bit)
 
 
 def diff_cells(x, y) -> list[tuple[int, int]]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from decg import (
     CapExceeded,
     LatticeVector,
@@ -47,6 +48,14 @@ def test_ring_sizes_and_order():
     # ring-major: norms never decrease along the scan
     norms = [v.norm for v in ball]
     assert norms == sorted(norms)
+
+
+def test_scan_order_matches_the_independent_ring_walk():
+    for r in range(31):
+        assert ring_vectors(r) == tuple(reference.ring_vectors(r)), r
+        assert ball_vectors(r) == reference.ball_vectors(r), r
+    for w in range(1, 65):
+        assert scan_order(w) == reference.scan_order(w), w
 
 
 def test_shift_distance_ordering():
@@ -377,6 +386,9 @@ def test_pattern_encoding_errors():
         parse_pattern("k2:w3:0101")
     with pytest.raises(ValueError):
         parse_pattern("k2:w2:0121")  # symbol 2 outside alphabet of 2
+    with pytest.raises(ValueError, match="^65x65 = 4225 cells exceeds the cap of 4096$"):
+        parse_pattern("k2:w65:" + "0" * 65 * 65)  # one row past MAX_PATTERN_CELLS
+    assert parse_pattern("k2:w64:" + "0" * 64 * 64).width == 64
     # integers only as encode_pattern writes them, and nothing after the digits
     for text in ("k02:w3:010110001", "k2:w03:010110001", "k\u0662:w3:010110001", "k2:w3:010110001\n"):
         with pytest.raises(ValueError, match="malformed pattern encoding"):

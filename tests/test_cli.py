@@ -82,6 +82,7 @@ def _exit_code(argv) -> int:
         (["color", "--k", "2", "--n", "-1", "--max-vertices", "1000"], 2),
         (["color", "--k", "2", "--n", "1", "--max-vertices", "-5"], 2),
         (["color", "--k", "2", "--n", "1", "--vertex-cap", "5000"], 2),
+        (["dimension", "--k", "2", "--n-max", "100001"], 2),
     ],
 )
 def test_malformed_argv_exits_with_its_code(tmp_path, capsys, argv, code):

@@ -840,6 +840,11 @@ def test_checksum_hex_hashes_the_graph_without_formatting_its_text(monkeypatch):
     [
         ("v 1 k3:", "v 1 k4:", "vertex alphabet 4 does not match header k=3"),
         (CANONICAL.split("\n")[5], "v 1 k3:w1:0", "vertex period 1 differs from 3"),
+        (  # one row past MAX_PATTERN_CELLS, refused before its cells are checked
+            CANONICAL.split("\n")[5],
+            "v 1 k3:w65:" + "0" * 65 * 65,
+            "65x65 = 4225 cells exceeds the cap of 4096",
+        ),
     ],
 )
 def test_reader_refuses_a_vertex_of_another_shift(written, read, message):
