@@ -26,6 +26,8 @@ import sys
 import time
 from fractions import Fraction
 
+# The package imports stay at module level, not inside the cmd_* that use
+# them: perfbench/tracer.py rebinds the functions by name in this namespace.
 from . import __version__
 from .action import (
     MAX_PATTERN_CELLS,

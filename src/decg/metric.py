@@ -97,6 +97,8 @@ def verify_recovery(system: ShiftSystem, pairs: Iterable, n: int) -> RecoveryRep
     (x, y, best achieved distance), never raised.  A point of another
     shift raises MismatchedSystems.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     report = RecoveryReport()
     t = system.threshold_exponent
     width, k = None, system.alphabet_size

@@ -30,10 +30,13 @@ def recording() -> Iterator[list[dict]]:
 
 @contextmanager
 def stage(name: str) -> Iterator[None]:
+    """Record the enclosed block as stage `name`.  Counts go to it while it
+    is open; when it ends they go to the stage it was opened in again."""
     global _current
     if _stages is None:
         yield
         return
+    enclosing = _current
     entry = _current = {"name": name, "wall_s": 0.0, "counters": {}}
     _stages.append(entry)
     started = time.perf_counter()
@@ -41,7 +44,7 @@ def stage(name: str) -> Iterator[None]:
         yield
     finally:
         entry["wall_s"] = round(time.perf_counter() - started, 6)
-        _current = None
+        _current = enclosing
 
 
 def count(name: str, k: int = 1) -> None:

@@ -88,6 +88,15 @@ def test_find_witness_rejects_negative_radius():
         find_witness(SYSTEM, x, y, -1)
 
 
+def test_verify_recovery_rejects_negative_scale():
+    # the radius -1 window meets no diff, so every pair would be skipped
+    # and the report would pass vacuously
+    pairs = itertools.combinations(sample_periodic_points(2, 5, 20, 7), 2)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        verify_recovery(SYSTEM, pairs, -1)
+    assert len(list(pairs)) == 190  # refused before any pair was read
+
+
 def test_find_witness_succeeds_iff_exponent_within_radius():
     rng = random.Random(31)
     for _ in range(60):

@@ -40,3 +40,17 @@ def test_an_error_ends_the_stage():
                 raise KeyError("x")
         count("after")  # the failed stage is closed: nothing is open
     assert [(s["name"], s["counters"]) for s in stages] == [("failing", {})]
+
+
+def test_an_inner_stage_hands_counting_back_to_the_outer_one():
+    with recording() as stages:
+        with stage("outer"):
+            count("a")
+            with stage("inner"):
+                count("b")
+            count("a")
+        count("dropped")  # both stages are closed
+    assert [(s["name"], s["counters"]) for s in stages] == [
+        ("outer", {"a": 2}),
+        ("inner", {"b": 1}),
+    ]
